@@ -43,14 +43,6 @@ def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
     return np.kron(a, b)
 
 
-def kron_chain(ops, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
-    """Kronecker product of a sequence of square matrices, left to right."""
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = kron(out, op, max_dim=max_dim)
-    return out
-
-
 def permutation_operator() -> np.ndarray:
     """Two-site swap P = (1 + sigma.sigma)/2; P^2 = 1, P hermitian."""
     p = np.eye(4, dtype=complex)

@@ -5,7 +5,8 @@ x_j = θ_j + a,
 
     4 ∏_l (x_j - z_l ± 1/2)(x_j + z_l ± 1/2) = a(x_j) d(x_j - 1),
 
-closed by the value constraint Λ(0) = 2 p q ∏_j (1-θ_j-a)(1+θ_j+a).
+closed by the value constraint Λ(0) = 2 p q ∏_j (1-θ_j-a)(1+θ_j+a) = a(0).
+The factors of a(u) are read from the zero/pole table transfer.a_table.
 
 Solver internals
 ----------------
@@ -13,14 +14,22 @@ Unknowns are reduced real coordinates per root category: string centers c_m
 with imaginary offsets d_m (pairs c_m ± i d_m in the rotated z̄ plane),
 boundary-pair heights, the real pair α and the imaginary pair β.  This
 enforces sign and conjugation symmetry exactly and makes the system square.
+The representatives are a linear map of the coordinates, z = M |y|.
 
 At coalescing inhomogeneity values the pointwise equations degenerate, so
 Newton works on confluent residuals: with L(u) the log of the fused-identity
 ratio Λ(u)Λ(u-1)/(a(u)d(u-1)), each distinct θ value of multiplicity μ
-contributes exp(L(x)) - 1 and the scaled derivatives L^(r)(x) s^r / r!,
-r = 1..μ-1.  For distinct θ this reduces to the ordinary equations; at the
-homogeneous point it is their exact confluent limit.  The raw ratio
-residual is still what gets certified at the end.
+contributes the principal-branch L(x) and the scaled derivatives
+L^(r)(x) s^r / r!, r = 1..μ-1.  For distinct θ this reduces to the ordinary
+equations; at the homogeneous point it is their exact confluent limit.  The
+raw ratio residual is still what gets certified at the end.
+
+Every residual row is a sum of logs or inverse powers of (x - t) over the
+points t = ±z ∓ 1/2 and the zeros and pole of a(u), so the Jacobian is
+closed-form: d/dz of a row is a sum of simple poles at r = 0 and of
+(r+1)-th inverse powers for the jets, chained through M.  No finite
+differences enter the solver; Gauss-Newton either reaches its tolerance or
+raises SolverError.
 
 Energies come from E = π(1+4ā²) Σ_l [a_1(z̄_l-ā) + a_1(z̄_l+ā)] - c0 and are
 defined at the homogeneous point only.
@@ -28,7 +37,6 @@ defined at the homogeneous point only.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,6 +47,7 @@ from .errors import (ConsistencyError, DegeneracyError, DomainError,
                      ParameterError, SolverError)
 from .params import ModelParams, c0_constant
 from .spectrum import ZeroRootSet, canonical_root, _sorted_roots
+from .transfer import a_table
 
 REGIMES = ("I", "II", "III", "IV", "V", "VI")
 
@@ -46,6 +55,12 @@ SEED_Z_MAX = 2.0
 SEED_ALPHA = 3.0
 SEED_BETA_OFFSET = 0.2
 JET_SCALE = 0.5
+HOMOTOPY_STEPS = 10
+COLLISION_TOL = 1e-8          # minimum separation of the solved roots
+CLASSIFY_TOL_SCALE = 1e-4     # axis tolerance per root, times (1 + |root|)
+STRING_TOL = 0.35             # |2 Im z̄ - n| for an n-string member
+BOUNDARY_TOL = 0.1            # distance to the asymptotic boundary-pair heights
+ENERGY_IMAG_TOL = 1e-8        # largest imaginary part of a consistent root energy
 
 
 def regime_of(p: float, q_bar: float) -> str:
@@ -148,29 +163,32 @@ class _Pattern:
         beta = x[k] if self.beta is not None else None
         return _Pattern(centers, heights, self.boundary_tags, boundary, alpha, beta)
 
+    def z_map(self) -> np.ndarray:
+        """Linear map M from encode() coordinates to z_reps(), z = i z̄."""
+        m, k = len(self.centers), len(self.encode())
+        zm = np.zeros((k, k), dtype=complex)
+        for i in range(m):
+            zm[2 * i, i] = zm[2 * i + 1, i] = 1j   # z̄ = c ± i d
+            zm[2 * i, m + i], zm[2 * i + 1, m + i] = -1.0, 1.0
+        for j in range(2 * m, k):
+            zm[j, j] = 1.0                        # boundary heights and β: z̄ = i b
+        if self.alpha is not None:
+            alpha_col = 2 * m + len(self.boundary)
+            zm[alpha_col, alpha_col] = 1j         # z̄ = α
+        return zm
+
     def z_reps(self) -> np.ndarray:
         """Sign-pair representatives in the z variable (z = i z̄)."""
-        reps = []
-        for c, d in zip(self.centers, self.heights):
-            reps.append(1j * c - d)   # z̄ = c + i d
-            reps.append(1j * c + d)   # z̄ = c - i d
-        for b in self.boundary:
-            reps.append(complex(b))   # z̄ = i b
-        if self.alpha is not None:
-            reps.append(1j * self.alpha)  # z̄ = α
-        if self.beta is not None:
-            reps.append(complex(self.beta))  # z̄ = i β
-        return np.asarray(reps, dtype=complex)
+        return self.z_map() @ self.encode()
 
     def root_set(self, two_n: int, residual: float = 0.0) -> ZeroRootSet:
         reps = [canonical_root(z) for z in self.z_reps()]
         return ZeroRootSet(two_n=two_n, z=_sorted_roots(reps), residual=residual)
 
 
-def seed_roots(regime: str, params: ModelParams, z_max: float = SEED_Z_MAX,
-               alpha0: float = SEED_ALPHA, beta_offset: float = SEED_BETA_OFFSET) -> ZeroRootSet:
+def seed_roots(regime: str, params: ModelParams) -> ZeroRootSet:
     """Root-set seed carrying the regime's ground-state inventory."""
-    pat = _seed_pattern(regime, params, z_max, alpha0, beta_offset)
+    pat = _seed_pattern(regime, params)
     count = len(pat.z_reps())
     if count != params.two_n + 1:
         raise ConsistencyError(
@@ -179,18 +197,17 @@ def seed_roots(regime: str, params: ModelParams, z_max: float = SEED_Z_MAX,
     return pat.root_set(params.two_n)
 
 
-def _seed_pattern(regime, params, z_max=SEED_Z_MAX, alpha0=SEED_ALPHA,
-                  beta_offset=SEED_BETA_OFFSET) -> _Pattern:
+def _seed_pattern(regime, params) -> _Pattern:
     spec = pattern_spec(regime, params)
     m = spec.n_centers // 2
-    centers = np.array([z_max * (2 * k - 1) / (2 * m) for k in range(1, m + 1)])
+    centers = np.array([SEED_Z_MAX * (2 * k - 1) / (2 * m) for k in range(1, m + 1)])
     heights = np.ones(m)
     boundary = np.array([_avoid_half(boundary_height(tag, params))
                          for tag in spec.boundary])
-    alpha = alpha0 if spec.has_alpha else None
+    alpha = SEED_ALPHA if spec.has_alpha else None
     beta = None
     if spec.has_beta:
-        beta = _avoid_half(min(abs(params.p), abs(params.q_bar)) + beta_offset)
+        beta = _avoid_half(min(abs(params.p), abs(params.q_bar)) + SEED_BETA_OFFSET)
     return _Pattern(centers, heights, spec.boundary, boundary, alpha, beta)
 
 
@@ -205,62 +222,50 @@ def _avoid_half(value: float, margin: float = 0.02) -> float:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _log_a(w: complex, params: ModelParams) -> complex:
-    s = math.sqrt(1.0 + params.xi ** 2)
-    a = params.a
+def _log_jets(u: np.ndarray, r: np.ndarray, c, t: np.ndarray, w: np.ndarray):
+    """Taylor rows of log f for f(u) = c ∏_k (u - t_k)^{w_k}, and their t-gradients.
+
+    Row i is (1/r_i!) d^{r_i}/du^{r_i} log f at u_i: log f itself for r = 0,
+    Σ_k w_k (-1)^{r-1} (u - t_k)^{-r} / r for r >= 1.  The gradient entry
+    [i, k] is the derivative of row i in t_k, w_k (-1)^{r+1} (u - t_k)^{-r-1}.
+    """
+    d = u[:, None] - t
+    rr = r[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (np.log(2.0 * w + 2.0) - np.log(2.0 * w + 1.0)
-               + np.log(w + params.p) + np.log(s * w + params.q))
-        th = params.thetas
-        val = val + np.sum(np.log(w + th + a + 1.0) + np.log(w - th - a + 1.0))
-    return complex(val)
+        terms = np.where(rr == 0, np.log(d), (-1.0) ** (rr - 1) * d ** -rr / np.maximum(rr, 1))
+        grad = w * (-1.0) ** (rr + 1) * d ** -(rr + 1)
+    return np.where(r == 0, np.log(c), 0.0) + terms @ w, grad
 
 
-def _log_ratio(x: complex, z: np.ndarray, params: ModelParams) -> complex:
-    """L(x) = log[ Λ(x)Λ(x-1) / (a(x) d(x-1)) ] up to multiples of 2πi."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = np.log(4.0 + 0.0j) + np.sum(
-            np.log(x - z + 0.5) + np.log(x + z + 0.5)
-            + np.log(x - z - 0.5) + np.log(x + z - 0.5))
-    return complex(total) - _log_a(x, params) - _log_a(-x, params)
+def _log_lambda(u: np.ndarray, r: np.ndarray, z: np.ndarray):
+    """Taylor rows of log Λ and their z-derivatives, Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2)."""
+    n = len(z)
+    rows, grad = _log_jets(u, r, 2.0, np.concatenate([z - 0.5, -z - 0.5]), np.ones(2 * n))
+    return rows, grad[:, :n] - grad[:, n:]
 
 
-def _a_inverse_powers(w: complex, r: int, params: ModelParams) -> complex:
-    """A_r(w): the order-r inverse-power sum of log a's singularities."""
-    s = math.sqrt(1.0 + params.xi ** 2)
-    a = params.a
-    th = params.thetas
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (w + 1.0) ** -r - 2.0 ** r * (2.0 * w + 1.0) ** -r
-        val += (w + params.p) ** -r + (w + params.q / s) ** -r
-        val += np.sum((w + th + a + 1.0) ** -r + (w - th - a + 1.0) ** -r)
-    return complex(val)
+def _log_a_rows(u: np.ndarray, r: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Taylor rows of log a from the zero/pole table of transfer.a_table."""
+    return _log_jets(u, r, *a_table(params))[0]
 
 
-def _log_ratio_derivative(x: complex, z: np.ndarray, r: int, params: ModelParams) -> complex:
-    """L^(r)(x) for r >= 1 (branch-free: a sum of inverse powers)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_r = np.sum((x - z + 0.5) ** -r + (x + z + 0.5) ** -r
-                     + (x - z - 0.5) ** -r + (x + z - 0.5) ** -r)
-    sign = 1.0 if r % 2 == 1 else -1.0  # (-1)^{r-1}
-    val = sign * (complex(s_r) - _a_inverse_powers(x, r, params))
-    val += _a_inverse_powers(-x, r, params)
-    return math.factorial(r - 1) * val
+def _fused_logs(x: np.ndarray, r: np.ndarray, z: np.ndarray, params: ModelParams):
+    """Taylor rows at x of log Λ(x)Λ(x-1) and of log a(x)d(x-1) = log a(x)a(-x).
+
+    Also returns the z-derivatives of the first; the second does not
+    depend on the roots.
+    """
+    lam0, dlam0 = _log_lambda(x, r, z)
+    lam1, dlam1 = _log_lambda(x - 1.0, r, z)
+    rhs = _log_a_rows(x, r, params) + (-1.0) ** r * _log_a_rows(-x, r, params)
+    return lam0 + lam1, rhs, dlam0 + dlam1
 
 
-def _lambda_zero_log_defect(z: np.ndarray, params: ModelParams) -> complex:
-    """log Λ(0) - log of its required value (zero mod 2πi on shell)."""
-    a = params.a
-    th = params.thetas
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_lhs = np.log(2.0 + 0.0j) + np.sum(np.log(0.5 - z) + np.log(0.5 + z))
-        log_rhs = np.log(complex(2.0 * params.p * params.q)) + np.sum(
-            np.log(1.0 - th - a) + np.log(1.0 + th + a))
-    return complex(log_lhs - log_rhs)
-
-
-def _lambda_zero_residual(z: np.ndarray, params: ModelParams) -> complex:
-    return cmath.exp(_lambda_zero_log_defect(z, params)) - 1.0
+def _lambda_zero_logs(z: np.ndarray, params: ModelParams):
+    """log Λ(0), its z-derivative and the required log a(0) = log 2pq∏(1-θ_j-a)(1+θ_j+a)."""
+    zero = np.zeros(1, dtype=int)
+    lam, dlam = _log_lambda(zero, zero, z)
+    return lam[0], _log_a_rows(zero, zero, params)[0], dlam[0]
 
 
 def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
@@ -271,20 +276,15 @@ def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
     warning is emitted.
     """
     z = np.asarray(roots.z, dtype=complex)
-    out = np.empty(params.two_n + 1, dtype=complex)
-    a = params.a
-    for j in range(params.two_n):
-        x = params.thetas[j] + a
-        log_rhs = _log_a(x, params) + _log_a(-x, params)
-        if not (math.isfinite(log_rhs.real) and math.isfinite(log_rhs.imag)):
-            warnings.warn("vanishing equation RHS; using unnormalized residual")
-            lhs = 4.0 * np.prod([(x - zl + 0.5) * (x + zl + 0.5)
-                                 * (x - zl - 0.5) * (x + zl - 0.5) for zl in z])
-            out[j] = lhs - cmath.exp(log_rhs)
-        else:
-            out[j] = cmath.exp(_log_ratio(x, z, params)) - 1.0
-    out[params.two_n] = _lambda_zero_residual(z, params)
-    return out
+    x = params.thetas + params.a
+    lhs, rhs, _ = _fused_logs(x, np.zeros(len(x), dtype=int), z, params)
+    out = np.exp(lhs - rhs) - 1.0
+    vanishing = ~np.isfinite(rhs)
+    if np.any(vanishing):
+        warnings.warn("vanishing equation RHS; using unnormalized residual")
+        out[vanishing] = np.exp(lhs[vanishing]) - np.exp(rhs[vanishing])
+    lam0, a0, _ = _lambda_zero_logs(z, params)
+    return np.append(out, np.exp(lam0 - a0) - 1.0)
 
 
 def _theta_groups(theta_bar, tol: float = 1e-12):
@@ -299,29 +299,28 @@ def _theta_groups(theta_bar, tol: float = 1e-12):
     return [(v, m) for v, m in groups]
 
 
-def _principal_log(value: complex) -> complex:
-    """Reduce a log-ratio to the branch nearest zero (solutions sit at 2πik)."""
-    k = round(value.imag / (2.0 * math.pi))
-    return value - 2.0j * math.pi * k
+def _principal_log(value):
+    """Reduce log-ratios to the branch nearest zero (solutions sit at 2πik)."""
+    return value - 2.0j * np.pi * np.round(np.imag(value) / (2.0 * np.pi))
 
 
-def _confluent_residual(z: np.ndarray, params: ModelParams, jet_scale: float = JET_SCALE) -> np.ndarray:
-    """Solver residual in logarithmic form for dynamic-range control.
+def _confluent_system(z: np.ndarray, params: ModelParams):
+    """Solver residual in logarithmic form and its exact derivative in z.
 
-    One principal-branch log ratio plus μ-1 scaled jets per distinct θ
-    value, then the log-form Λ(0) defect.  The raw ratio form is used only
-    for the final certification.
+    Per distinct θ value of multiplicity μ: the principal-branch log ratio
+    L(x) and the scaled jets L^(r)(x) s^r / r!, r = 1..μ-1; then the
+    log-form Λ(0) defect.  The raw ratio form is used only for the final
+    certification.
     """
-    comps = []
-    a = params.a
-    for value, mult in _theta_groups(params.theta_bar):
-        x = 1j * value + a
-        comps.append(_principal_log(_log_ratio(x, z, params)))
-        for r in range(1, mult):
-            comps.append(_log_ratio_derivative(x, z, r, params)
-                         * jet_scale ** r / math.factorial(r))
-    comps.append(_principal_log(_lambda_zero_log_defect(z, params)))
-    return np.asarray(comps, dtype=complex)
+    groups = _theta_groups(params.theta_bar)
+    x = np.asarray([1j * v + params.a for v, mult in groups for _ in range(mult)])
+    r = np.asarray([k for _, mult in groups for k in range(mult)], dtype=int)
+    lhs, rhs, dlhs = _fused_logs(x, r, z, params)
+    scale = JET_SCALE ** r
+    rows = np.where(r == 0, _principal_log(lhs - rhs), scale * (lhs - rhs))
+    lam0, a0, dlam0 = _lambda_zero_logs(z, params)
+    return (np.append(rows, _principal_log(lam0 - a0)),
+            np.vstack([scale[:, None] * dlhs, dlam0]))
 
 
 # ---------------------------------------------------------------------------
@@ -332,81 +331,56 @@ def _stack_real(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real, c.imag])
 
 
+def _reduced_system(z_map: np.ndarray, params: ModelParams, y: np.ndarray):
+    """(residual, real Jacobian) at reduced coordinates y, or None if not finite.
+
+    z = M |y| with M = _Pattern.z_map(), so dF/dy = (dF/dz M) sign(y); F is
+    holomorphic in z and y is real, so the real Jacobian stacks the real and
+    imaginary parts.
+    """
+    f, dfdz = _confluent_system(z_map @ np.abs(y), params)
+    jac = (dfdz @ z_map) * np.where(y < 0.0, -1.0, 1.0)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac))):
+        return None  # a root hit a logarithmic singularity
+    return f, _stack_real(jac)
+
+
 def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
-                  max_iter: int, history: list, stall_accept: float = 1e-9):
-    x = pattern.encode()
-
-    def residual(vec):
-        z = pattern.decode(vec).z_reps()
-        try:
-            r = _confluent_residual(z, params)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return None  # root hit a logarithmic singularity; reject the step
-        if not np.all(np.isfinite(r.view(float))):
-            return None
-        return r
-
-    f = residual(x)
-    if f is None:
+                  max_iter: int, history: list) -> _Pattern:
+    z_map = pattern.z_map()
+    y = pattern.encode()
+    system = _reduced_system(z_map, params, y)
+    if system is None:
         raise SolverError("seed evaluates to a non-finite residual", history=history)
+    f, jac = system
     fnorm = np.max(np.abs(f))
-    best_x, best_norm = x.copy(), fnorm
     for _ in range(max_iter):
         history.append(fnorm)
         if fnorm <= tol:
-            break
-        jac = _fd_jacobian(residual, x, f)
+            return pattern.decode(y)
         step, *_ = np.linalg.lstsq(jac, -_stack_real(f), rcond=None)
-        t = 1.0
-        accepted = False
         base = np.linalg.norm(_stack_real(f))
-        while t >= 2.0 ** -40:
-            x_new = x + t * step
-            f_new = residual(x_new)
-            if f_new is not None and np.linalg.norm(_stack_real(f_new)) <= (1.0 - 1e-4 * t) * base:
-                x, f = x_new, f_new
-                fnorm = np.max(np.abs(f))
-                accepted = True
+        t = 1.0
+        while True:
+            y_new = y + t * step
+            system = _reduced_system(z_map, params, y_new)
+            if (system is not None
+                    and np.linalg.norm(_stack_real(system[0])) <= (1.0 - 1e-4 * t) * base):
                 break
             t *= 0.5
-        if fnorm < best_norm:
-            best_x, best_norm = x.copy(), fnorm
-        if not accepted:
-            if best_norm <= stall_accept:
-                x = best_x  # finite-difference noise floor; certification decides
-                break
-            raise SolverError(
-                f"line search stalled at residual {fnorm:.3e}",
-                best_roots=pattern.decode(best_x).root_set(params.two_n, best_norm),
-                history=history)
-    else:
-        if best_norm > stall_accept:
-            raise SolverError(
-                f"no convergence in {max_iter} iterations (residual {fnorm:.3e})",
-                best_roots=pattern.decode(best_x).root_set(params.two_n, best_norm),
-                history=history)
-        x = best_x
-    return pattern.decode(x)
-
-
-def _fd_jacobian(residual, x, f0, rel_step: float = 1e-7):
-    m = len(x)
-    f0r = _stack_real(f0)
-    jac = np.empty((len(f0r), m))
-    for i in range(m):
-        h = rel_step * (1.0 + abs(x[i]))
-        xp = x.copy()
-        xp[i] += h
-        fp = residual(xp)
-        if fp is None:
-            xp[i] -= 2.0 * h
-            fp = residual(xp)
-            if fp is None:
-                raise SolverError("non-finite residual while building the Jacobian")
-            jac[:, i] = (f0r - _stack_real(fp)) / h
-        else:
-            jac[:, i] = (_stack_real(fp) - f0r) / h
-    return jac
+            if t < 2.0 ** -40:
+                raise SolverError(
+                    f"line search stalled at residual {fnorm:.3e}",
+                    best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
+                    history=history)
+        y, (f, jac) = y_new, system
+        fnorm = np.max(np.abs(f))
+    if fnorm <= tol:
+        return pattern.decode(y)
+    raise SolverError(
+        f"no convergence in {max_iter} iterations (residual {fnorm:.3e})",
+        best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
+        history=history)
 
 
 def default_spread_profile(two_n: int, scale: float = 0.1) -> tuple:
@@ -433,19 +407,9 @@ RETRY_SPREAD_SCALES = (0.4, 0.25, 0.55, 0.15, 0.8, 0.1)
 RETRY_BETA_SEEDS = (1.12, 1.35)
 
 
-def _energy_surrogate(roots: ZeroRootSet, params: ModelParams) -> float:
-    """Ground-state selection key: the root-energy functional, any θ̄."""
-    ab = params.a_bar
-    total = 0.0 + 0.0j
-    for z in roots.z:
-        w = -1j * z
-        total += _a1(w - ab) + _a1(w + ab)
-    return float((math.pi * (1.0 + 4.0 * ab ** 2) * total).real)
-
-
-def solve_bae(seed: ZeroRootSet, params: ModelParams, homotopy: object = 10,
-              tol: float = 1e-10, max_iter: int = 200,
-              collision_tol: float = 1e-8) -> ZeroRootSet:
+def solve_bae(seed: ZeroRootSet, params: ModelParams,
+              homotopy: int | None = HOMOTOPY_STEPS, tol: float = 1e-10,
+              max_iter: int = 200) -> ZeroRootSet:
     """Damped Gauss-Newton solve from a structured seed.
 
     An integer homotopy k (default 10) first converges at a spread
@@ -456,21 +420,20 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams, homotopy: object = 10,
     for β-carrying patterns, seed-β variants, since β sits just above the
     2-string line), keeps every certified solution matching the seed's
     inventory, and returns the lowest-energy one.  homotopy=None attempts a
-    single direct solve at params.theta_bar; an explicit sequence of θ̄
-    profiles is used verbatim.  Returned roots carry a certified raw
-    residual <= tol.
+    single direct solve at params.theta_bar.  Returned roots carry a
+    certified raw residual <= tol.  On failure the SolverError carries the
+    residual history of the last attempt.
     """
     if len(seed.z) != params.two_n + 1:
         raise ParameterError(f"seed carries {len(seed.z)} representatives, "
                              f"expected {params.two_n + 1}")
     pattern = _pattern_from_roots(seed, params)
     seed_tag = classify_pattern(seed, params).regime
-    history: list = []
 
     attempts = []  # (starting pattern, θ̄ stages)
     if homotopy is None:
         attempts.append((pattern, [params.theta_bar]))
-    elif isinstance(homotopy, int):
+    else:
         target = np.asarray(params.theta_bar, dtype=float)
         scales = [_matched_spread_scale(pattern)]
         scales += [s for s in RETRY_SPREAD_SCALES if s not in scales]
@@ -494,13 +457,12 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams, homotopy: object = 10,
                         pattern.boundary_tags, pattern.boundary.copy(),
                         pattern.alpha, b0)
                     attempts.append((p0, stages))
-    else:
-        attempts.append((pattern, [tuple(p) for p in homotopy]))
 
     found: list = []  # (surrogate energy, roots)
     last_error: Exception | None = None
     for start_pattern, stages in attempts:
         trial = start_pattern
+        history: list = []
         try:
             for theta in stages:
                 stage_params = params.with_theta_bar(theta)
@@ -512,13 +474,13 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams, homotopy: object = 10,
                 raise SolverError(
                     f"certification failed: raw residual {raw:.3e} > {tol:.1e}",
                     best_roots=roots, history=history)
-            _check_collisions(roots, collision_tol)
+            _check_collisions(roots)
             result = ZeroRootSet(two_n=roots.two_n, z=roots.z, residual=float(raw))
             if seed_tag in REGIMES and classify_pattern(result, params).regime != seed_tag:
                 raise SolverError(
                     f"converged off-pattern (expected inventory {seed_tag})",
                     best_roots=result, history=history)
-            found.append((_energy_surrogate(result, params), result))
+            found.append((_root_energy_sum(result, params.a_bar).real, result))
         except (SolverError, DegeneracyError) as exc:
             last_error = exc
             continue
@@ -527,7 +489,7 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams, homotopy: object = 10,
     if not found:
         raise SolverError(f"all homotopy schedules failed: {last_error}",
                           best_roots=getattr(last_error, "best_roots", None),
-                          history=history)
+                          history=getattr(last_error, "history", None))
     found.sort(key=lambda item: item[0])
     return found[0][1]
 
@@ -545,11 +507,11 @@ def _ladder_settled(found, agree_tol: float = 1e-8) -> bool:
     return hits >= 2
 
 
-def _check_collisions(roots: ZeroRootSet, collision_tol: float) -> None:
+def _check_collisions(roots: ZeroRootSet) -> None:
     full = roots.full_multiset()
     diffs = np.abs(full[:, None] - full[None, :])
     np.fill_diagonal(diffs, np.inf)
-    if np.min(diffs) < collision_tol:
+    if np.min(diffs) < COLLISION_TOL:
         raise DegeneracyError(f"root collision: minimum separation {np.min(diffs):.3e}")
 
 
@@ -601,8 +563,7 @@ def _extend_pattern(pattern: _Pattern, new_m: int) -> _Pattern:
                     pattern.alpha, pattern.beta)
 
 
-def ground_state_scan(base_params: ModelParams, sizes, homotopy: int = 10,
-                      tol: float = 1e-10):
+def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
     """Ground-state roots across chain sizes by size continuation.
 
     The smallest size is solved from the regime seed (full retry ladder);
@@ -624,7 +585,7 @@ def ground_state_scan(base_params: ModelParams, sizes, homotopy: int = 10,
         pr = ModelParams(two_n=two_n, a_bar=base_params.a_bar, p=base_params.p,
                          q=base_params.q, xi=base_params.xi)
         if prev is None:
-            sol = solve_bae(seed_roots(regime, pr), pr, homotopy=homotopy, tol=tol)
+            sol = solve_bae(seed_roots(regime, pr), pr, tol=tol)
             energy = energy_from_roots(sol, pr)
         else:
             prev_pattern, prev_two_n, prev_energy = prev
@@ -636,7 +597,7 @@ def ground_state_scan(base_params: ModelParams, sizes, homotopy: int = 10,
             # candidate gaining much less has jumped to an excited branch
             min_gain = 0.25 * (two_n - prev_two_n) * (prev_energy / prev_two_n)
             sol = energy = None
-            for mode in (None, homotopy):
+            for mode in (None, HOMOTOPY_STEPS):
                 try:
                     cand = solve_bae(seed, pr, homotopy=mode, tol=tol)
                 except (SolverError, DegeneracyError):
@@ -658,16 +619,14 @@ def ground_state_scan(base_params: ModelParams, sizes, homotopy: int = 10,
 # classification
 # ---------------------------------------------------------------------------
 
-def classify_pattern(roots: ZeroRootSet, params: ModelParams,
-                     tol_scale: float = 1e-4, string_tol: float = 0.35,
-                     boundary_tol: float = 0.1) -> RootPattern:
+def classify_pattern(roots: ZeroRootSet, params: ModelParams) -> RootPattern:
     """Assign the rotated roots to the structural categories of the model.
 
-    Category tolerance per root is ε = tol_scale (1+|root|) for the
-    real/imaginary-axis tests; strings match Im ≈ n/2 within string_tol.
+    Category tolerance per root is ε = CLASSIFY_TOL_SCALE (1+|root|) for the
+    real/imaginary-axis tests; strings match Im ≈ n/2 within STRING_TOL.
     Boundary pairs sit at i(|p|+1/2), i(|q̄|+1/2) only asymptotically — at
     2N = 8 the measured offsets reach a few 1e-2 — so matching against the
-    asymptotic heights uses the looser boundary_tol, resolved per candidate
+    asymptotic heights uses the looser BOUNDARY_TOL, resolved per candidate
     regime with the (p, q̄) box of the parameters tried first.
 
     Returns regime I..VI when the inventory matches a ground-state pattern,
@@ -682,7 +641,7 @@ def classify_pattern(roots: ZeroRootSet, params: ModelParams,
     imag_pos: list = []
     real_pos: list = []
     for w in full:
-        eps = tol_scale * (1.0 + abs(w))
+        eps = CLASSIFY_TOL_SCALE * (1.0 + abs(w))
         if abs(w.imag) <= eps and abs(w.real) > 10.0 * eps:
             if w.real > 0:
                 real_pos.append(w.real)
@@ -690,7 +649,7 @@ def classify_pattern(roots: ZeroRootSet, params: ModelParams,
             imag_pos.append(w.imag)
         elif w.imag > eps and abs(w.real) > eps:
             n_est = int(round(2.0 * w.imag))
-            if n_est >= 2 and abs(2.0 * w.imag - n_est) <= string_tol:
+            if n_est >= 2 and abs(2.0 * w.imag - n_est) <= STRING_TOL:
                 if n_est == 2:
                     pat.pairs_n2.append(w.real)
                 else:
@@ -707,7 +666,7 @@ def classify_pattern(roots: ZeroRootSet, params: ModelParams,
 
     # ground-state inventories take precedence over excitation signatures:
     # a free β may coincide with the boundary-string height 1/2-|b|
-    assigned = _match_ground_inventory(pat, imag_pos, real_pos, params, boundary_tol)
+    assigned = _match_ground_inventory(pat, imag_pos, real_pos, params)
     if assigned is not None and not pat.extra_strings:
         pat.regime = assigned
         pat.pairs_n2.sort()
@@ -718,7 +677,7 @@ def classify_pattern(roots: ZeroRootSet, params: ModelParams,
         if target <= 0:
             continue
         for b in list(imag_pos):
-            if abs(b - target) <= min(boundary_tol, 0.5 * target):
+            if abs(b - target) <= min(BOUNDARY_TOL, 0.5 * target):
                 pat.boundary_strings.append(b)
                 imag_pos.remove(b)
                 break
@@ -726,7 +685,7 @@ def classify_pattern(roots: ZeroRootSet, params: ModelParams,
     for tag in ("p", "q"):
         target = boundary_height(tag, params)
         for b in list(imag_pos):
-            if abs(b - target) <= boundary_tol:
+            if abs(b - target) <= BOUNDARY_TOL:
                 pat.boundary_pairs.append((tag, b))
                 imag_pos.remove(b)
                 break
@@ -746,8 +705,7 @@ def classify_pattern(roots: ZeroRootSet, params: ModelParams,
     return pat
 
 
-def _match_ground_inventory(pat: RootPattern, imag_pos, real_pos, params,
-                            boundary_tol):
+def _match_ground_inventory(pat: RootPattern, imag_pos, real_pos, params):
     """Try each regime's inventory against the categorized roots.
 
     The regime of the parameter box is tried first: a lone imaginary pair
@@ -773,7 +731,7 @@ def _match_ground_inventory(pat: RootPattern, imag_pos, real_pos, params,
         for tag in spec.boundary:
             target = boundary_height(tag, params)
             dists = [abs(b - target) for b in remaining]
-            if not dists or min(dists) > boundary_tol:
+            if not dists or min(dists) > BOUNDARY_TOL:
                 ok = False
                 break
             k = int(np.argmin(dists))
@@ -800,20 +758,23 @@ def _a1(w) -> complex:
     return (1.0 / (2.0 * math.pi)) / (w * w + 0.25)
 
 
-def energy_from_roots(roots: ZeroRootSet, params: ModelParams,
-                      imag_tol: float = 1e-8) -> float:
+def _root_energy_sum(roots: ZeroRootSet, a_bar: float) -> complex:
+    """π(1+4ā²) Σ_l [a_1(z̄_l-ā) + a_1(z̄_l+ā)] over the representatives, any θ̄."""
+    total = 0.0 + 0.0j
+    for z in roots.z:
+        w = -1j * z  # rotated root z̄
+        total += _a1(w - a_bar) + _a1(w + a_bar)
+    return math.pi * (1.0 + 4.0 * a_bar ** 2) * total
+
+
+def energy_from_roots(roots: ZeroRootSet, params: ModelParams) -> float:
     """Energy of the homogeneous chain from the zero-root representatives."""
     if not params.homogeneous():
         raise ParameterError(
             "the root-energy formula is defined for the homogeneous chain; "
             "supply theta_bar = 0")
-    ab = params.a_bar
-    total = 0.0 + 0.0j
-    for z in roots.z:
-        w = -1j * z  # rotated root z̄
-        total += _a1(w - ab) + _a1(w + ab)
-    energy = math.pi * (1.0 + 4.0 * ab ** 2) * total - c0_constant(params)
-    if abs(energy.imag) > imag_tol:
+    energy = _root_energy_sum(roots, params.a_bar) - c0_constant(params)
+    if abs(energy.imag) > ENERGY_IMAG_TOL:
         raise ConsistencyError(
             f"energy has imaginary part {energy.imag:.3e}; root set is inconsistent")
     return float(energy.real)

@@ -10,7 +10,7 @@ field is q̄ = q / sqrt(1 + ξ²).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

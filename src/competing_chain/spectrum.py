@@ -21,7 +21,7 @@ rotated values z̄ = -i z used for root-pattern plots.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -60,9 +60,6 @@ class SpectralPolynomial:
 
     def __call__(self, u):
         return nppoly.polyval(u, np.asarray(self.coeffs))
-
-    def derivative_at(self, u):
-        return nppoly.polyval(u, nppoly.polyder(np.asarray(self.coeffs)))
 
     def crossing_defect(self) -> float:
         """Relative coefficient defect of Λ(u) - Λ(-u-1)."""

@@ -128,13 +128,27 @@ def transfer_commutator_residual(u, v, params: ModelParams) -> float:
     return max_norm(tu @ tv - tv @ tu)
 
 
+def a_table(params: ModelParams):
+    """(c, ζ, m) with a(u) = c ∏_k (u - ζ_k)^{m_k}: the zeros and the pole of a(u).
+
+    a(u) = (2u+2)/(2u+1) (u+p)(s u+q) ∏_j (u+θ_j+a+1)(u-θ_j-a+1), s = √(1+ξ²),
+    has simple zeros at -1, -p, -q/s, -θ_j-a-1 and θ_j+a-1 and a simple pole
+    at -1/2.  This is the one place the factors are written down; a_bare, the
+    zero-root equations and their certificate all read it.
+    """
+    s = math.sqrt(1.0 + params.xi ** 2)
+    shifts = params.thetas + params.a
+    zeta = np.concatenate([[-1.0, -0.5, -params.p, -params.q / s],
+                           -shifts - 1.0, shifts - 1.0])
+    mult = np.ones(len(zeta), dtype=int)
+    mult[1] = -1
+    return s, zeta, mult
+
+
 def a_bare(u, params: ModelParams) -> complex:
     """Scalar eigenvalue function multiplying the fused transfer identity."""
-    s = math.sqrt(1.0 + params.xi ** 2)
-    val = (2.0 * u + 2.0) / (2.0 * u + 1.0) * (u + params.p) * (s * u + params.q)
-    for th in params.thetas:
-        val *= (u + th + params.a + 1.0) * (u - th - params.a + 1.0)
-    return complex(val)
+    c, zeta, mult = a_table(params)
+    return complex(c * np.prod((u - zeta) ** mult))
 
 
 def d_bare(u, params: ModelParams) -> complex:

@@ -7,9 +7,10 @@ from competing_chain import (ModelParams, diagonalize, state_zero_roots,
                              transfer_state_roots, regime_of, seed_roots,
                              bae_residual, solve_bae, classify_pattern,
                              energy_from_roots, ground_state_scan)
-from competing_chain.bae import default_spread_profile
+from competing_chain import bae
+from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.spectrum import ZeroRootSet
-from competing_chain.errors import DomainError, ParameterError
+from competing_chain.errors import DomainError, ParameterError, SolverError
 
 
 def test_regime_boxes():
@@ -89,6 +90,35 @@ def test_homotopy_endpoint_is_direct_fixed_point(params_fig4):
     ramped = solve_bae(seed, params_fig4, homotopy=10)
     direct = solve_bae(ramped, params_fig4, homotopy=None)
     assert np.max(np.abs(np.array(direct.z) - np.array(ramped.z))) < 1e-9
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_closed_form_jacobian_matches_central_differences(regime, spread, regime_points):
+    # at θ̄ = 0 all nodes coincide and the jet rows carry the system
+    p, qb = regime_points[regime]
+    pr = ModelParams.from_q_bar(8, 0.66, p, qb, 1.2)
+    if spread:
+        pr = pr.with_theta_bar(default_spread_profile(8))
+    pattern = bae._seed_pattern(regime, pr)
+    z_map, y = pattern.z_map(), pattern.encode()
+    _, jac = bae._reduced_system(z_map, pr, y)
+    fd = np.empty_like(jac)
+    for i in range(len(y)):
+        step = np.zeros(len(y))
+        step[i] = 1e-6 * (1.0 + abs(y[i]))
+        diff = (bae._reduced_system(z_map, pr, y + step)[0]
+                - bae._reduced_system(z_map, pr, y - step)[0])
+        diff -= 2j * np.pi * np.round(diff.imag / (2.0 * np.pi))  # log rows live mod 2πi
+        fd[:, i] = np.concatenate([diff.real, diff.imag]) / (2.0 * step[i])
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_solver_error_history_covers_one_attempt(params_fig4):
+    # one iteration per stage fails every ladder attempt after one residual
+    with pytest.raises(SolverError) as info:
+        solve_bae(seed_roots("V", params_fig4), params_fig4, max_iter=1)
+    assert len(info.value.history) == 1
 
 
 def test_solver_roots_symmetric_and_conjugate_closed(params_fig4):

@@ -213,6 +213,18 @@ def test_bulk_excitation_even():
         bulk_excitation_energy(-0.7, pr), rel=1e-12)
 
 
+@pytest.mark.parametrize("a_bar,z_bar,tol", [
+    (1.048089392377342, -1.994835805810022, 1e-10),
+    (0.9789134722187997, -2.161076632725525, 1e-8),
+])
+def test_bulk_excitation_adaptive_matches_gauss(a_bar, z_bar, tol):
+    # points where plain adaptive panels missed by ~1e-7 while certifying tol
+    pr = _pr(a_bar=a_bar)
+    adaptive = bulk_excitation_energy(z_bar, pr, QuadratureSpec(abs_tol=tol))
+    gauss = bulk_excitation_energy(z_bar, pr, QuadratureSpec(abs_tol=tol, method="gauss"))
+    assert abs(adaptive - gauss) <= tol
+
+
 def test_bulk_excitation_peaks():
     grid = np.linspace(-4.0, 4.0, 161)
     vals0 = np.array([bulk_excitation_energy(z, _pr(a_bar=0.0)) for z in grid])
