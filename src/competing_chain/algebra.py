@@ -60,12 +60,13 @@ def r_matrix(u) -> np.ndarray:
 
 
 def k_minus(u, p) -> np.ndarray:
-    """Diagonal left-boundary matrix diag(p+u, p-u)."""
-    return np.array([[p + u, 0.0], [0.0, p - u]], dtype=complex)
+    """Diagonal left-boundary matrix diag(p+u, p-u); shape (2, 2) + shape(u)."""
+    zero = np.zeros(np.shape(u))
+    return np.array([[p + u, zero], [zero, p - u]], dtype=complex)
 
 
 def k_plus(u, q, xi) -> np.ndarray:
-    """Right-boundary matrix [[q+u+1, xi(u+1)], [xi(u+1), q-u-1]]."""
+    """Right-boundary matrix [[q+u+1, xi(u+1)], [xi(u+1), q-u-1]]; shape (2, 2) + shape(u)."""
     w = xi * (u + 1.0)
     return np.array([[q + u + 1.0, w], [w, q - u - 1.0]], dtype=complex)
 

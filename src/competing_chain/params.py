@@ -31,7 +31,8 @@ class ModelParams:
     def __post_init__(self):
         if self.two_n < 4 or self.two_n % 2 != 0:
             raise ParameterError(f"two_n must be an even integer >= 4, got {self.two_n}")
-        tb = tuple(float(t) for t in self.theta_bar) if self.theta_bar else tuple([0.0] * self.two_n)
+        tb = (tuple(float(t) for t in self.theta_bar) if len(self.theta_bar)
+              else (0.0,) * self.two_n)
         if len(tb) != self.two_n:
             raise ParameterError(f"theta_bar needs {self.two_n} entries, got {len(tb)}")
         object.__setattr__(self, "theta_bar", tb)

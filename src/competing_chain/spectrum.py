@@ -10,8 +10,9 @@ parameterized by 2N+1 sign-paired zero roots via
 application, with a variance certificate guarding against unresolved
 degeneracies, interpolated on scaled Chebyshev nodes plus the fixed points
 {0, -1}, factored through a balanced companion matrix, and the roots are
-polished on the exact Rayleigh quotient so downstream energy checks hold at
-1e-8 and better.
+polished by Newton steps on the exact Rayleigh quotient, with the slope of
+the fitted polynomial, so downstream energy checks hold at 1e-8 and better.
+All points of one curve go through one batched transfer application.
 
 Root-set serialization: JSON holds the sign-pair representatives of z
 (convention Im z >= 0, ties broken by Re z >= 0); the CSV export emits the
@@ -36,6 +37,8 @@ from .transfer import a_bare, apply_transfer, d_bare, transfer_matrix
 
 DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
+ROOT_ZERO_TOL = 1e-12
+POLISH_STEPS = 3
 
 
 @dataclass
@@ -98,7 +101,7 @@ class ZeroRootSet:
         return np.concatenate([zz, -zz])
 
 
-def canonical_root(z: complex, tol: float = 1e-12) -> complex:
+def canonical_root(z: complex, tol: float = ROOT_ZERO_TOL) -> complex:
     """Pick the sign-pair representative with Im >= 0 (ties: Re >= 0)."""
     z = complex(z)
     if z.imag < -tol:
@@ -108,8 +111,13 @@ def canonical_root(z: complex, tol: float = 1e-12) -> complex:
     return z
 
 
+def _sort_key(z: complex) -> tuple:
+    """(Re, Im) with parts within ROOT_ZERO_TOL of zero read as 0, so ±0 noise cannot reorder."""
+    return tuple(0.0 if abs(x) <= ROOT_ZERO_TOL else x for x in (z.real, z.imag))
+
+
 def _sorted_roots(roots) -> tuple:
-    return tuple(sorted((complex(z) for z in roots), key=lambda w: (w.real, w.imag)))
+    return tuple(sorted((complex(z) for z in roots), key=_sort_key))
 
 
 def lambda_from_roots(u, roots: ZeroRootSet | tuple):
@@ -155,8 +163,7 @@ def _resolve_degenerate_blocks(pairs, params, gap, u_star=DEGENERACY_RESOLVE_POI
             j += 1
         if j - i > 1:
             block = np.column_stack([pairs[k].state for k in range(i, j)])
-            tv = np.column_stack([apply_transfer(u_star, params, block[:, c])
-                                  for c in range(block.shape[1])])
+            tv = apply_transfer(np.full(j - i, u_star), params, block.T).T
             small = block.conj().T @ tv
             _, w = np.linalg.eig(small)
             new = block @ w
@@ -173,26 +180,35 @@ def _resolve_degenerate_blocks(pairs, params, gap, u_star=DEGENERACY_RESOLVE_POI
 # Λ(u) sampling and fitting
 # ---------------------------------------------------------------------------
 
+def _state_vector(state) -> np.ndarray:
+    return state.state if isinstance(state, EigenPair) else np.asarray(state, dtype=complex)
+
+
+def _transfer_rows(us, params: ModelParams, v: np.ndarray) -> np.ndarray:
+    """Rows t(u_k) @ v for every point u_k, in one batched application."""
+    us = np.asarray(us).ravel()
+    return apply_transfer(us, params, np.broadcast_to(v, (len(us), len(v))))
+
+
 def lambda_samples(state, params: ModelParams, points, var_tol: float = 1e-8):
     """Rayleigh-quotient samples Λ(u_k) = <v|t(u_k)|v> with variance certificate.
 
     The certificate <t(u)^2> - <t(u)>^2 <= var_tol |Λ|^2 fails on unresolved
     degenerate states; resolve them first (see diagonalize).
     """
-    v = state.state if isinstance(state, EigenPair) else np.asarray(state, dtype=complex)
-    out = []
-    for u in points:
-        tv = apply_transfer(u, params, v)
-        lam = complex(np.vdot(v, tv))
-        ttv = apply_transfer(u, params, tv)
-        second = complex(np.vdot(v, ttv))
-        variance = abs(second - lam * lam)
-        if variance > var_tol * max(abs(lam) ** 2, 1e-300):
-            raise DegeneracyError(
-                f"transfer variance {variance:.3e} at u={u}: resolve the degenerate "
-                "subspace by simultaneous diagonalization before sampling")
-        out.append(lam)
-    return np.asarray(out, dtype=complex)
+    v = _state_vector(state)
+    us = np.asarray(points).ravel()
+    tv = _transfer_rows(us, params, v)
+    lam = tv @ v.conj()
+    second = apply_transfer(us, params, tv) @ v.conj()
+    variance = np.abs(second - lam * lam)
+    bad = np.flatnonzero(variance > var_tol * np.maximum(np.abs(lam) ** 2, 1e-300))
+    if bad.size:
+        k = bad[0]
+        raise DegeneracyError(
+            f"transfer variance {variance[k]:.3e} at u={us[k]}: resolve the degenerate "
+            "subspace by simultaneous diagonalization before sampling")
+    return lam
 
 
 def chebyshev_sample_points(two_n: int, interval=DEFAULT_INTERVAL) -> np.ndarray:
@@ -255,34 +271,35 @@ def _pair_shifts(shifts, pair_tol: float):
     return reps, worst
 
 
+def _polish_on_curve(curve, u: np.ndarray, coeffs: np.ndarray, steps: int) -> np.ndarray:
+    """Newton steps on an analytic curve, all roots at once, slope from the fit.
+
+    The slope is the derivative of the fitted polynomial with ascending
+    coefficients ``coeffs``, so each step costs one batched curve evaluation.
+    """
+    der = nppoly.polyder(coeffs)
+    for _ in range(steps):
+        slopes = nppoly.polyval(u, der)
+        safe = np.abs(slopes) > 1e-300
+        u = u - np.where(safe, curve(u) / np.where(safe, slopes, 1.0), 0.0)
+    return u
+
+
+def _zero_roots(poly: SpectralPolynomial, curve, steps: int, pair_tol: float) -> ZeroRootSet:
+    """Companion roots of the fit, Newton-polished on ``curve``, then ± paired."""
+    coeffs = np.asarray(poly.coeffs)
+    u_roots = _polish_on_curve(curve, nppoly.polyroots(coeffs), coeffs, steps)
+    reps, worst = _pair_shifts(u_roots + 0.5, pair_tol)
+    return ZeroRootSet(two_n=len(reps) - 1, z=_sorted_roots(reps), residual=float(worst))
+
+
 def extract_zero_roots(poly: SpectralPolynomial, pair_tol: float = 1e-6) -> ZeroRootSet:
     """Companion-matrix roots of Λ, one Newton polish, then sign pairing.
 
     Shifts s = u_root + 1/2 come in ± pairs; each pair is averaged into one
     representative.  The pairing residual is the worst |s_i + s_j| mismatch.
     """
-    coeffs = np.asarray(poly.coeffs)
-    roots = nppoly.polyroots(coeffs)
-    der = nppoly.polyder(coeffs)
-    vals = nppoly.polyval(roots, coeffs)
-    slopes = nppoly.polyval(roots, der)
-    safe = np.abs(slopes) > 1e-300
-    roots = roots - np.where(safe, vals / np.where(safe, slopes, 1.0), 0.0)
-    reps, worst = _pair_shifts(roots + 0.5, pair_tol)
-    two_n = (len(reps) - 1) // 2
-    return ZeroRootSet(two_n=two_n, z=_sorted_roots(reps), residual=float(worst))
-
-
-def _polish_on_curve(func, u0: complex, steps: int = 3, h: float = 1e-6) -> complex:
-    """A few Newton steps on an analytic scalar curve with central differences."""
-    u = complex(u0)
-    for _ in range(steps):
-        step = h * (1.0 + abs(u))
-        d = (func(u + step) - func(u - step)) / (2.0 * step)
-        if abs(d) < 1e-300:
-            break
-        u = u - func(u) / d
-    return u
+    return _zero_roots(poly, poly, steps=1, pair_tol=pair_tol)
 
 
 def state_zero_roots(state, params: ModelParams, interval=DEFAULT_INTERVAL,
@@ -294,18 +311,12 @@ def state_zero_roots(state, params: ModelParams, interval=DEFAULT_INTERVAL,
     sign pairing, which keeps the pairing sharp even when the companion
     roots of the degree-(4N+2) interpolant carry 1e-6-level noise.
     """
-    v = state.state if isinstance(state, EigenPair) else np.asarray(state, dtype=complex)
+    v = _state_vector(state)
     pts = chebyshev_sample_points(params.two_n, interval)
-    vals = lambda_samples(v, params, pts, var_tol=var_tol)
-    poly = fit_lambda_polynomial(pts, vals, params.two_n, interval)
-    u_roots = nppoly.polyroots(np.asarray(poly.coeffs))
-    if not refine:
-        reps, worst = _pair_shifts(u_roots + 0.5, pair_tol)
-        return ZeroRootSet(two_n=params.two_n, z=_sorted_roots(reps), residual=worst)
-    lam = lambda u: complex(np.vdot(v, apply_transfer(u, params, v)))
-    polished = [_polish_on_curve(lam, u) for u in u_roots]
-    reps, worst = _pair_shifts(np.asarray(polished) + 0.5, pair_tol)
-    return ZeroRootSet(two_n=params.two_n, z=_sorted_roots(reps), residual=float(worst))
+    poly = fit_lambda_polynomial(pts, lambda_samples(v, params, pts, var_tol=var_tol),
+                                 params.two_n, interval)
+    curve = lambda us: _transfer_rows(us, params, v) @ v.conj()
+    return _zero_roots(poly, curve, POLISH_STEPS if refine else 0, pair_tol)
 
 
 def transfer_state_roots(params: ModelParams, reference_state: np.ndarray,
@@ -327,18 +338,11 @@ def transfer_state_roots(params: ModelParams, reference_state: np.ndarray,
     v = vecs[:, k]
     w = left[k, :]
     norm = complex(w @ v)
-
-    def lam(u):
-        return complex(w @ apply_transfer(u, params, v)) / norm
+    curve = lambda us: (_transfer_rows(us, params, v) @ w) / norm
 
     pts = chebyshev_sample_points(params.two_n, interval)
-    vals = np.asarray([lam(u) for u in pts])
-    poly = fit_lambda_polynomial(pts, vals, params.two_n, interval)
-    u_roots = nppoly.polyroots(np.asarray(poly.coeffs))
-    if refine:
-        u_roots = np.asarray([_polish_on_curve(lam, u) for u in u_roots])
-    reps, worst = _pair_shifts(u_roots + 0.5, pair_tol=1e-6)
-    return ZeroRootSet(two_n=params.two_n, z=_sorted_roots(reps), residual=float(worst))
+    poly = fit_lambda_polynomial(pts, curve(pts), params.two_n, interval)
+    return _zero_roots(poly, curve, POLISH_STEPS if refine else 0, pair_tol=1e-6)
 
 
 def inversion_identity_check(roots: ZeroRootSet, params: ModelParams, j: int) -> float:

@@ -190,29 +190,43 @@ def hamiltonian_from_transfer(params: ModelParams, max_dim: int = MAX_DIM,
 
 
 def apply_transfer(u, params: ModelParams, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free t(u) @ vec on the quantum space (cost O(2N · 2^{2N}))."""
+    """Matrix-free t(u) @ vec on the quantum space (cost O(2N · 2^{2N}) per vector).
+
+    A scalar u takes one vector of length 2^{2N} and returns t(u) @ vec.  A
+    1-D array of n points takes an (n, 2^{2N}) batch and returns the rows
+    t(u_k) @ vec_k, with every point and both auxiliary traces in one pass.
+    """
     two_n = params.two_n
     qdim = 2 ** two_n
-    vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.shape[0] != qdim:
-        raise ValueError(f"vector length {vec.shape[0]} != {qdim}")
+    batched = np.ndim(u) > 0
+    us = np.atleast_1d(np.asarray(u, dtype=complex))
+    vecs = np.asarray(vec, dtype=complex)
+    if not batched:
+        vecs = vecs.reshape(1, -1)
+    n = us.shape[0]
+    if us.ndim != 1 or vecs.shape != (n, qdim):
+        raise ValueError(f"vectors of shape {vecs.shape} do not match {n} points "
+                         f"on dimension {qdim}")
     shifts = params.a + params.thetas
-    kp = k_plus(u, params.q, params.xi)
-    km = k_minus(u, params.p)
-    out = np.zeros(qdim, dtype=complex)
+    # rows: auxiliary ⊗ quantum; columns: (trace index alpha, point k)
+    w = np.zeros((2, qdim, 2, n), dtype=complex)
     for alpha in range(2):
-        w = np.zeros(2 * qdim, dtype=complex)
-        w[alpha * qdim:(alpha + 1) * qdim] = vec
-        for j in range(two_n, 0, -1):  # reflected monodromy, rightmost factor first
-            v = u + _site_shift_sign(j, reflected=True) * shifts[j - 1]
-            w = v * w + _swap_rows_aux_site(w.reshape(-1, 1), j, two_n).ravel()
-        wb = w.reshape(2, qdim)
-        wb[0] *= km[0, 0]
-        wb[1] *= km[1, 1]
-        w = wb.ravel()
-        for j in range(1, two_n + 1):
-            v = u + _site_shift_sign(j, reflected=False) * shifts[j - 1]
-            w = v * w + _swap_rows_aux_site(w.reshape(-1, 1), j, two_n).ravel()
-        wb = kp @ w.reshape(2, qdim)
-        out += wb[alpha]
-    return out
+        w[alpha, :, alpha, :] = vecs.T
+    w = w.reshape(2 * qdim, 2, n)
+    for j in range(two_n, 0, -1):  # reflected monodromy, rightmost factor first
+        v = us + _site_shift_sign(j, reflected=True) * shifts[j - 1]
+        w = v * w + _swap_rows_aux_site(w, j, two_n)
+    km = k_minus(us, params.p)
+    w = w.reshape(2, qdim, 2, n)
+    w[0] *= km[0, 0]
+    w[1] *= km[1, 1]
+    w = w.reshape(2 * qdim, 2, n)
+    for j in range(1, two_n + 1):
+        v = us + _site_shift_sign(j, reflected=False) * shifts[j - 1]
+        w = v * w + _swap_rows_aux_site(w, j, two_n)
+    kp = k_plus(us, params.q, params.xi)
+    w = w.reshape(2, qdim, 2, n)
+    out = np.zeros((qdim, n), dtype=complex)
+    for alpha in range(2):
+        out += kp[alpha, 0] * w[0, :, alpha] + kp[alpha, 1] * w[1, :, alpha]
+    return out.T if batched else out[:, 0]

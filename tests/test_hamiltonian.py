@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from competing_chain import ModelParams, hamiltonian_direct, max_norm
-from competing_chain.algebra import SIGMA_X, SIGMA_Z, ID2
+from competing_chain import ModelParams, couplings, hamiltonian_direct, max_norm
+from competing_chain.algebra import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 
 
 def _embed(two_n, site, op):
@@ -77,3 +77,46 @@ def test_edge_convention_truncates_nnn():
     # projecting the Hamiltonian on the NNN exchange finds nothing at a=0
     overlap = np.trace(h @ nnn) / np.trace(nnn @ nnn)
     assert abs(overlap) < 1e-14
+
+
+_LEVI_CIVITA = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0,
+                (0, 2, 1): -1.0, (2, 1, 0): -1.0, (1, 0, 2): -1.0}
+
+
+def _reference_hamiltonian(pr):
+    """Term-by-term Kronecker build of the spin Hamiltonian, one 2^{2N} matrix per factor."""
+    n, ab, cpl = pr.two_n, pr.a_bar, couplings(pr)
+
+    def op(*factors):   # product of (site, single-site operator) pairs
+        out = _embed(n, *factors[0])
+        for site, s in factors[1:]:
+            out = out @ _embed(n, site, s)
+        return out
+
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j in range(1, n):
+        j1 = 1.0 + (cpl.c1 if j == 1 else 0.0) + (cpl.c2Nm1 if j == n - 1 else 0.0)
+        h += j1 * sum(op((j, s), (j + 1, s)) for s in PAULI)
+    for j in range(1, n - 1):
+        h += cpl.J2 * sum(op((j, s), (j + 2, s)) for s in PAULI)
+        # sigma_{j+1} . (sigma_j x sigma_{j+2})
+        chiral = sum(eps * op((j + 1, PAULI[a]), (j, PAULI[b]), (j + 2, PAULI[c]))
+                     for (a, b, c), eps in _LEVI_CIVITA.items())
+        h += cpl.J3 * (-1.0) ** j * chiral
+    pref_l = (1.0 + 4.0 * ab ** 2) / (pr.p ** 2 + ab ** 2)
+    h += pref_l * (pr.p * op((1, SIGMA_Z)) + ab ** 2 * op((1, SIGMA_Z), (2, SIGMA_Z))
+                   + ab * pr.p * (op((1, SIGMA_X), (2, SIGMA_Y)) - op((1, SIGMA_Y), (2, SIGMA_X))))
+    pref_r = (1.0 + 4.0 * ab ** 2) / (ab ** 2 * pr.xi ** 2 + ab ** 2 + pr.q ** 2)
+    tilt = pr.xi * SIGMA_X + SIGMA_Z
+    cross_x = op((n, SIGMA_Y), (n - 1, SIGMA_Z)) - op((n, SIGMA_Z), (n - 1, SIGMA_Y))
+    cross_z = op((n, SIGMA_X), (n - 1, SIGMA_Y)) - op((n, SIGMA_Y), (n - 1, SIGMA_X))
+    h += pref_r * (pr.q * op((n, tilt)) + ab ** 2 * op((n - 1, tilt), (n, tilt))
+                   + ab * pr.q * (pr.xi * cross_x + cross_z))
+    return h
+
+
+@pytest.mark.parametrize("two_n", [4, 6, 8])
+def test_local_term_build_matches_kron_reference(two_n, regime_points):
+    for p, q_bar in regime_points.values():
+        pr = ModelParams.from_q_bar(two_n, 0.66, p, q_bar, 1.2)
+        assert max_norm(hamiltonian_direct(pr) - _reference_hamiltonian(pr)) <= 1e-13

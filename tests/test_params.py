@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from competing_chain import ModelParams, couplings, c0_constant, c2_constant
@@ -71,6 +72,16 @@ def test_config_defaults_and_comments():
     assert pr.two_n == 4
     assert pr.p == 2.0
     assert pr.theta_bar == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_numpy_theta_bar_checked_by_length():
+    pr = ModelParams(two_n=4, a_bar=0.1, theta_bar=np.array([0.1, -0.1, 0.2, -0.2]))
+    assert pr.theta_bar == (0.1, -0.1, 0.2, -0.2)
+    with pytest.raises(ParameterError):
+        ModelParams(two_n=4, a_bar=0.1, theta_bar=np.array([0.1, -0.1, 0.2]))
+    with pytest.raises(ParameterError):   # a single zero is not "no profile"
+        ModelParams(two_n=4, a_bar=0.1, theta_bar=np.zeros(1))
+    assert ModelParams(two_n=4, theta_bar=np.zeros(0)).theta_bar == (0.0,) * 4
 
 
 def test_empty_theta_defaults_to_zeros():

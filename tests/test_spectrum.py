@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -10,9 +11,9 @@ from competing_chain import (ModelParams, diagonalize, lambda_samples,
                              transfer_state_roots, lambda_from_roots,
                              inversion_identity_check, hamiltonian_direct,
                              roots_to_json, roots_from_json, roots_to_csv)
-from competing_chain.spectrum import SpectralPolynomial
+from competing_chain.spectrum import SpectralPolynomial, _sorted_roots
 from competing_chain.bae import default_spread_profile
-from competing_chain.errors import FitError
+from competing_chain.errors import DegeneracyError, FitError
 
 
 def test_trace_identity(params_small):
@@ -64,6 +65,13 @@ def test_fit_degree_and_leading(params_small):
     assert poly.crossing_defect() <= 1e-8
 
 
+def test_mixed_state_fails_variance_certificate(params_small):
+    pairs = diagonalize(params_small)
+    mixed = (pairs[0].state + pairs[1].state) / np.sqrt(2.0)
+    with pytest.raises(DegeneracyError):
+        lambda_samples(mixed, params_small, chebyshev_sample_points(params_small.two_n))
+
+
 def test_fit_holdout_residual(params_fig4):
     gs = diagonalize(params_fig4)[0]
     pts = chebyshev_sample_points(params_fig4.two_n)
@@ -89,9 +97,22 @@ def test_synthetic_root_round_trip():
     for z in z_true:
         coeffs = nppoly.polymul(coeffs, nppoly.polyfromroots([z - 0.5, -z - 0.5]))
     back = extract_zero_roots(SpectralPolynomial(coeffs=tuple(coeffs)))
+    assert back.two_n == 4   # 2N+1 = 5 sign-pair representatives
     got = np.array(back.z)
     for z in z_true:  # multiset comparison: sort order is noise-sensitive
         assert np.min(np.abs(got - z)) < 1e-8
+
+
+def test_root_order_ignores_signed_zero_noise():
+    # parts within the canonical tolerance of 0 sort as 0: ±1e-17 noise on
+    # the real parts of imaginary roots (and vice versa) keeps the order
+    base = [1.89j, 0.971j, 0.5 + 1.0j, 2.5, -0.3 + 0.7j]
+    want = np.array(_sorted_roots(base))
+    for signs in itertools.product((1.0, -1.0), repeat=len(base)):
+        noisy = [z + s * 1e-17 * (1.0 + 1j) for z, s in zip(base, signs)]
+        got = _sorted_roots(noisy)
+        assert set(got) == set(noisy)   # values are left as they are
+        assert np.max(np.abs(np.array(got) - want)) < 1e-15
 
 
 def test_roots_conjugate_closed(params_fig4):

@@ -42,13 +42,15 @@ def test_kernel_fourier_values():
 
 def test_kernel_transform_is_consistent():
     # independent quadrature check of the convention:
-    # ∫ a_n(u) cos(ku) du = e^{-n|k|/2}
-    import mpmath as mp
+    # ∫ a_n(u) cos(ku) du = e^{-n|k|/2}, integrated in real space on [0, ∞)
+    # with QUADPACK's Fourier-integral rule (QAWF); any warning fails
+    from scipy.integrate import IntegrationWarning, quad
     for n, k in ((1, 0.7), (3, 1.3)):
-        val = mp.quadosc(lambda u: float(a_kernel(float(u), n)) * mp.cos(k * u),
-                         [0, mp.inf], omega=k)
-        assert 2.0 * float(val) == pytest.approx(math.exp(-0.5 * n * abs(k)),
-                                                 abs=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            val, _ = quad(lambda u: a_kernel(u, n), 0.0, np.inf,
+                          weight="cos", wvar=k, epsabs=1e-12)
+        assert 2.0 * val == pytest.approx(math.exp(-0.5 * n * abs(k)), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +195,7 @@ def test_ground_energy_density_per_site_converges():
             pr, lambda k: density_regime1(k, pr, alpha=math.inf))
         diffs.append(abs(model - scan[two_n]) / two_n)
     assert diffs[1] < diffs[0]  # observed decreasing per-site gap
-    assert diffs[1] < 0.25      # residual gap is O(1)/2N (see project notes)
+    assert diffs[1] < 0.25      # residual gap is O(1)/2N (see notes/decisions.md)
 
 
 def test_ground_energy_density_prefactor_at_a0():

@@ -125,3 +125,22 @@ def test_apply_transfer_matches_dense(params_small, rng):
     t = transfer_matrix(u, params_small)
     v = rng.normal(size=t.shape[0]) + 1j * rng.normal(size=t.shape[0])
     assert np.max(np.abs(t @ v - apply_transfer(u, params_small, v))) < 1e-11
+
+
+def test_apply_transfer_batch_matches_dense():
+    # inhomogeneous chain; random points in the window around the crossing
+    # point -1/2 where the entries of t(u) stay O(10^3), as in the scalar test
+    pr = ModelParams(two_n=6, a_bar=0.6, p=1.0, q=0.5, xi=1.2,
+                     theta_bar=[0.1, -0.2, 0.05, 0.3, -0.1, 0.0])
+    gen = np.random.default_rng(31)
+    us = gen.uniform(-1.0, 0.5, 5) + 1j * gen.uniform(-0.5, 0.5, 5)
+    vecs = gen.normal(size=(5, 64)) + 1j * gen.normal(size=(5, 64))
+    rows = apply_transfer(us, pr, vecs)
+    assert rows.shape == (5, 64)
+    for u, v, row in zip(us, vecs, rows):
+        assert np.max(np.abs(transfer_matrix(u, pr) @ v - row)) < 1e-11
+    single = apply_transfer(us[2], pr, vecs[2])
+    assert single.shape == (64,)
+    assert np.max(np.abs(single - rows[2])) < 1e-11
+    with pytest.raises(ValueError):
+        apply_transfer(us, pr, vecs[:4])
