@@ -265,15 +265,13 @@ def _scan_row(quantity, var, value, params, spec):
                 spec)
             return ([res.components["e_b0"], res.est_error], "ok")
         if quantity == "bulk_excitation":
-            val = thermo.bulk_excitation_energy(value if var == "z_bar" else 0.0,
-                                                pr, spec)
-            return ([val, spec.abs_tol], "ok")
+            return (list(thermo._bulk_excitation(value if var == "z_bar" else 0.0,
+                                                 pr, spec)), "ok")
         if quantity == "boundary_excitation":
             b = value if var in ("p", "q") else pr.p
             if var == "q":
                 b = ModelParams.from_dict({**pr.to_dict(), "q": value}).q_bar
-            val = thermo.boundary_excitation_energy(b, pr, spec)
-            return ([val, spec.abs_tol], "ok")
+            return (list(thermo._boundary_excitation(b, pr, spec)), "ok")
         raise ParameterError(f"unknown scan quantity {quantity!r}")
     except CompetingChainError:
         return (None, "divergent")

@@ -38,7 +38,7 @@ from .transfer import a_bare, apply_transfer, d_bare, transfer_matrix
 DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
 ROOT_ZERO_TOL = 1e-12
-POLISH_STEPS = 3
+POLISH_STEPS = 2
 
 
 @dataclass

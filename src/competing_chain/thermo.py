@@ -96,18 +96,30 @@ class ThermoResult:
         }
 
 
-_GL_NODES_CACHE: dict = {}
+GAUSS_ORDER = 40          # Gauss–Legendre nodes per panel
+GAUSS_BLOCK = 65536       # most nodes handed to the integrand in one call
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
 
-def _gauss_panels(f, a, b, panels, order=40):
-    if order not in _GL_NODES_CACHE:
-        _GL_NODES_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    x, w = _GL_NODES_CACHE[order]
+def _gauss_panels(f, a, b, panels):
+    """Composite Gauss–Legendre rule on equal panels of [a, b].
+
+    The whole node grid is evaluated with one call of f per block of at
+    most GAUSS_BLOCK nodes, which bounds memory when the panel count is
+    large; every integral of a few thousand panels takes a single call.
+    """
     edges = np.linspace(a, b, panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * (edges[1:] - edges[:-1])
+    nodes = panels * GAUSS_ORDER
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        total += half * np.sum(w * f(mid + half * x))
+    for start in range(0, nodes, GAUSS_BLOCK):
+        stop = min(start + GAUSS_BLOCK, nodes)
+        first, last = start // GAUSS_ORDER, -(-stop // GAUSS_ORDER)
+        cut = slice(start - first * GAUSS_ORDER, stop - first * GAUSS_ORDER)
+        half = halves[first:last, None]
+        k = (mids[first:last, None] + half * _GL_X).ravel()[cut]
+        total += np.sum((half * _GL_W).ravel()[cut] * f(k))
     return total
 
 
@@ -163,6 +175,27 @@ def _cosine_half_line_integral(g, omega: float, decay: float, spec: QuadratureSp
 # root densities (Fourier space)
 # ---------------------------------------------------------------------------
 
+def _density(k, params: ModelParams, extra=None):
+    """Shared form of the regime densities, (num - extra) / (2N (e1 + e3)).
+
+    num holds the bulk and boundary back-flow terms common to every pattern;
+    extra(k, |k|, e1), if given, subtracts the pattern's own kernel images.
+    With e_n = exp(-n|k|/2), e2 and e3 are formed from e1.
+    """
+    k = np.asarray(k, dtype=float)
+    ak = np.abs(k)
+    n = params.n
+    e1 = np.exp(-0.5 * ak)
+    e2 = e1 * e1
+    num = (4.0 * n * e2 * np.cos(params.a_bar * k)
+           + e2 - e1
+           - np.exp(-(abs(params.p) + 1.0) * ak)
+           - np.exp(-(abs(params.q_bar) + 1.0) * ak))
+    if extra is not None:
+        num = num - extra(k, ak, e1)
+    return (num / (2.0 * n * e1 * (1.0 + e2))).astype(complex)
+
+
 def density_regime1(k, params: ModelParams, alpha: float = math.inf):
     """Fourier ground-state density of 2-string centers, patterns with ±α.
 
@@ -172,32 +205,16 @@ def density_regime1(k, params: ModelParams, alpha: float = math.inf):
     The result is real and even in k; a complex dtype is kept for the
     caller's convenience.
     """
-    k = np.asarray(k, dtype=float)
-    ak = np.abs(k)
-    n = params.n
-    e1, e2, e3 = np.exp(-0.5 * ak), np.exp(-ak), np.exp(-1.5 * ak)
-    num = (4.0 * n * e2 * np.cos(params.a_bar * k)
-           + e2 - e1
-           - np.exp(-(abs(params.p) + 1.0) * ak)
-           - np.exp(-(abs(params.q_bar) + 1.0) * ak))
     if math.isfinite(alpha):
-        num = num - 2.0 * e1 * np.cos(alpha * k)
-    return (num / (2.0 * n * (e1 + e3))).astype(complex)
+        return _density(k, params, lambda k, ak, e1: 2.0 * e1 * np.cos(alpha * k))
+    return _density(k, params)
 
 
 def density_regime2(k, params: ModelParams, beta: float):
     """Fourier density for patterns carrying a pure imaginary pair ±iβ."""
-    k = np.asarray(k, dtype=float)
-    ak = np.abs(k)
-    n = params.n
-    e1, e2, e3 = np.exp(-0.5 * ak), np.exp(-ak), np.exp(-1.5 * ak)
-    num = (4.0 * n * e2 * np.cos(params.a_bar * k)
-           + e2 - e1
-           - np.exp(-(abs(params.p) + 1.0) * ak)
-           - np.exp(-(abs(params.q_bar) + 1.0) * ak)
-           - np.exp(-0.5 * abs(2.0 * beta + 1.0) * ak)
-           - np.exp(-0.5 * abs(2.0 * beta - 1.0) * ak))
-    return (num / (2.0 * n * (e1 + e3))).astype(complex)
+    return _density(k, params, lambda k, ak, e1: (
+        np.exp(-0.5 * abs(2.0 * beta + 1.0) * ak)
+        + np.exp(-0.5 * abs(2.0 * beta - 1.0) * ak)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +284,12 @@ def ground_energy_density(params: ModelParams, rho, spec: QuadratureSpec = DEFAU
     pref = 1.0 + 4.0 * ab ** 2
 
     def f(k):
-        vals = rho(k)
-        imag = np.max(np.abs(np.imag(np.atleast_1d(vals))))
+        vals = np.asarray(rho(k))
+        imag = abs(vals.imag).max()
         if imag > 1e-10:
             warnings.warn(f"density has imaginary part {imag:.3e}")
-        return ((np.exp(-0.5 * k) - np.exp(-1.5 * k)) * np.cos(ab * k)
-                * np.real(vals))
+        e = np.exp(-0.5 * k)
+        return e * (1.0 - e * e) * np.cos(ab * k) * vals.real
     value, _ = half_line_integral(f, decay=0.5, spec=spec, amplitude=4.0)
     rational = (abs(params.p) / (ab ** 2 + params.p ** 2)
                 + abs(params.q_bar) / (ab ** 2 + params.q_bar ** 2))
@@ -291,6 +308,11 @@ def bulk_excitation_energy(z_bar: float, params: ModelParams,
     cosines of ā ± z̄; adaptive quadrature integrates each with the
     cosine-weighted rule, Gauss quadrature the product as it stands.
     """
+    return _bulk_excitation(z_bar, params, spec)[0]
+
+
+def _bulk_excitation(z_bar: float, params: ModelParams, spec: QuadratureSpec):
+    """(bulk_excitation_energy, its quadrature error estimate)."""
     ab = params.a_bar
 
     def envelope(k):
@@ -299,14 +321,17 @@ def bulk_excitation_energy(z_bar: float, params: ModelParams,
     if spec.method == "gauss":
         def f(k):
             return 2.0 * envelope(k) * np.cos(ab * k) * np.cos(z_bar * k)
-        value, _ = half_line_integral(f, decay=0.5, spec=spec)
+        value, err = half_line_integral(f, decay=0.5, spec=spec)
     else:
         part = replace(spec, abs_tol=0.5 * spec.abs_tol)
-        value = sum(_cosine_half_line_integral(envelope, omega, 0.5, part)[0]
-                    for omega in (ab + z_bar, ab - z_bar))
+        (v_plus, err_plus), (v_minus, err_minus) = (
+            _cosine_half_line_integral(envelope, omega, 0.5, part)
+            for omega in (ab + z_bar, ab - z_bar))
+        value, err = v_plus + v_minus, err_plus + err_minus
     rational = (1.0 / ((z_bar + ab) ** 2 + 0.25)
                 + 1.0 / ((z_bar - ab) ** 2 + 0.25))
-    return 0.5 * (1.0 + 4.0 * ab ** 2) * (value + rational)
+    scale = 0.5 * (1.0 + 4.0 * ab ** 2)
+    return scale * (value + rational), scale * err
 
 
 def string_excitation_energy(n: int, z_tilde: float, params: ModelParams,
@@ -346,18 +371,24 @@ def boundary_excitation_energy(b: float, params: ModelParams,
     b stands for p or q̄, restricted to |b| < 1/2.  Vanishes exactly at
     b = 0 for ā != 0 and diverges there for the plain-exchange chain ā = 0.
     """
+    return _boundary_excitation(b, params, spec)[0]
+
+
+def _boundary_excitation(b: float, params: ModelParams, spec: QuadratureSpec):
+    """(boundary_excitation_energy, its quadrature error estimate)."""
     if abs(b) >= 0.5:
         raise DomainError("boundary excitations exist for |b| < 1/2 only")
     ab = params.a_bar
     babs = abs(b)
     if babs == 0.0 and ab == 0.0:
-        return math.inf
+        return math.inf, 0.0
 
     def f(k):
         return (np.tanh(0.5 * k) * np.cos(ab * k)
                 * (np.exp(-(1.0 - babs) * k) - np.exp(-(1.0 + babs) * k)))
-    value, _ = half_line_integral(f, decay=1.0 - babs, spec=spec)
+    value, err = half_line_integral(f, decay=1.0 - babs, spec=spec)
     rational = (4.0 * babs / (babs ** 2 + ab ** 2) if babs > 0.0 else 0.0)
     rational += 2.0 * (1.0 - babs) / (ab ** 2 + (1.0 - babs) ** 2)
     rational -= 2.0 * (1.0 + babs) / (ab ** 2 + (1.0 + babs) ** 2)
-    return 0.5 * (1.0 + 4.0 * ab ** 2) * (value + rational)
+    scale = 0.5 * (1.0 + 4.0 * ab ** 2)
+    return scale * (value + rational), scale * err

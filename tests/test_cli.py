@@ -109,6 +109,28 @@ def test_scan_rectangular_with_divergence_marker(tmp_path):
     assert all(len(r) == 7 for r in rows)
 
 
+@pytest.mark.parametrize("args", [
+    ["--quantity", "bulk_excitation", "--var", "z_bar", "--grid=-3:3:7"],
+    ["--quantity", "boundary_excitation", "--var", "p", "--grid=-0.4:0.4:5"],
+], ids=["bulk_excitation", "boundary_excitation"])
+@pytest.mark.parametrize("method", ["adaptive", "gauss"])
+def test_scan_excitation_reports_error_estimate(tmp_path, args, method):
+    out = tmp_path / "scan.csv"
+    tol = 1e-9
+    assert run(["scan"] + args + ["--two-n", "8", "--a-bar", "0.66", "--q", "1.0",
+                                  "--xi", "1.2", "--quad-tol", str(tol),
+                                  "--quad-method", method, "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].split(",")[-2:] == ["est_error", "status"]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[-1] for r in rows] == ["ok"] * len(rows)
+    est = [float(r[-2]) for r in rows]
+    # holds at this ā; at large ā the prefactor 0.5(1+4ā²) can lift the scaled
+    # estimate above the tolerance (ROADMAP item 5)
+    assert all(0.0 <= e <= tol for e in est)
+    assert any(e != tol for e in est)  # an estimate, not the tolerance echoed
+
+
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "chain.cfg"
     cfg.write_text("two_n = 4\na_bar = 0.6\np = 1.0\nq = 0.5\nxi = 1.2\n"

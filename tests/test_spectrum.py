@@ -11,8 +11,9 @@ from competing_chain import (ModelParams, diagonalize, lambda_samples,
                              transfer_state_roots, lambda_from_roots,
                              inversion_identity_check, hamiltonian_direct,
                              roots_to_json, roots_from_json, roots_to_csv)
+from competing_chain import spectrum
 from competing_chain.spectrum import SpectralPolynomial, _sorted_roots
-from competing_chain.bae import default_spread_profile
+from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.errors import DegeneracyError, FitError
 
 
@@ -113,6 +114,19 @@ def test_root_order_ignores_signed_zero_noise():
         got = _sorted_roots(noisy)
         assert set(got) == set(noisy)   # values are left as they are
         assert np.max(np.abs(np.array(got) - want)) < 1e-15
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_polish_has_converged(regime, regime_points, monkeypatch):
+    # one Newton step beyond POLISH_STEPS moves no polished root measurably
+    p, q_bar = regime_points[regime]
+    params = ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
+    states = diagonalize(params)[:8]
+    polished = [state_zero_roots(s, params).z for s in states]
+    monkeypatch.setattr(spectrum, "POLISH_STEPS", spectrum.POLISH_STEPS + 1)
+    for state, roots in zip(states, polished):
+        further = state_zero_roots(state, params).z
+        assert np.max(np.abs(np.subtract(further, roots))) <= 1e-13
 
 
 def test_roots_conjugate_closed(params_fig4):

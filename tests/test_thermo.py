@@ -10,7 +10,7 @@ from competing_chain import (ModelParams, QuadratureSpec, a_kernel, b_kernel,
                              ground_energy_density, bulk_energy_per_site,
                              bulk_excitation_energy, string_excitation_energy,
                              boundary_excitation_energy, half_line_integral,
-                             ground_state_scan)
+                             ground_state_scan, thermo)
 from competing_chain.errors import DivergenceError, DomainError, QuadratureError
 
 
@@ -87,6 +87,23 @@ def test_density_bulk_limit():
     bulk = 2.0 * np.exp(-k) / (np.exp(-0.5 * k) + np.exp(-1.5 * k))
     assert np.max(np.abs(rho - bulk)) < 1e-2
     assert np.max(np.abs(rho - bulk)) * pr.n < 1.0  # deviation is O(1/N)
+
+
+def test_density_regime1_finite_alpha_matches_formula():
+    # the real-pair term written out against the three separate exponentials
+    pr = _pr(a_bar=0.66, p=1.2, q_bar=-0.7, xi=1.2)
+    k = np.linspace(-6, 6, 41)
+    alpha = 1.3
+    ak = np.abs(k)
+    n = pr.n
+    e1, e2, e3 = np.exp(-0.5 * ak), np.exp(-ak), np.exp(-1.5 * ak)
+    num = (4.0 * n * e2 * np.cos(pr.a_bar * k) + e2 - e1
+           - np.exp(-(abs(pr.p) + 1.0) * ak) - np.exp(-(abs(pr.q_bar) + 1.0) * ak))
+    expected = (num - 2.0 * e1 * np.cos(alpha * k)) / (2.0 * n * (e1 + e3))
+    rho = density_regime1(k, pr, alpha=alpha)
+    assert rho.dtype == complex
+    assert np.max(np.abs(rho.imag)) == 0.0
+    assert np.allclose(rho.real, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_density_regime2_beta_terms():
@@ -178,6 +195,68 @@ def test_quadrature_methods_agree():
     assert abs(adaptive.value - gauss.value) < 1e-10
 
 
+def _per_panel_gauss(f, a, b, panels):
+    """Reference composite rule: one integrand call per 40-node panel."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(a, b, panels + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        total += half * np.sum(w * f(mid + half * x))
+    return total
+
+
+@pytest.fixture
+def gauss_integrals(monkeypatch):
+    """Every Gauss integral as (value, per-panel value, integrand calls, nodes)."""
+    records = []
+    vectorised = thermo._gauss_panels
+
+    def recording(f, a, b, panels):
+        calls = []
+
+        def counted(k):
+            calls.append(np.size(k))
+            return f(k)
+        value = vectorised(counted, a, b, panels)
+        assert sum(calls) == panels * thermo.GAUSS_ORDER
+        records.append((value, _per_panel_gauss(f, a, b, panels), len(calls),
+                        panels * thermo.GAUSS_ORDER))
+        return value
+    monkeypatch.setattr(thermo, "_gauss_panels", recording)
+    return records
+
+
+_PR_SMALL_P = ModelParams.from_q_bar(8, 0.66, 0.05, 0.7, 1.2)   # decay 0.05 field term
+
+
+@pytest.mark.parametrize("quantity", [
+    lambda spec: surface_energy(_PR_SMALL_P, spec),
+    lambda spec: ground_energy_density(
+        _PR_SMALL_P, lambda k: density_regime1(k, _PR_SMALL_P), spec),
+    lambda spec: ground_energy_density(
+        _PR_SMALL_P, lambda k: density_regime2(k, _PR_SMALL_P, beta=0.9), spec),
+    lambda spec: bulk_excitation_energy(1.3, _PR_SMALL_P, spec),
+], ids=["surface", "ground_density_1", "ground_density_2", "bulk_excitation"])
+def test_gauss_single_call_matches_per_panel_loop(gauss_integrals, quantity):
+    quantity(QuadratureSpec(abs_tol=1e-10, method="gauss"))
+    assert gauss_integrals
+    for value, reference, calls, nodes in gauss_integrals:
+        assert nodes <= thermo.GAUSS_BLOCK
+        assert calls == 1
+        assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+def test_gauss_blocks_bound_the_integrand_call(gauss_integrals):
+    # decay 0.01 needs ~6.4k panels, more than three blocks of nodes
+    spec = QuadratureSpec(abs_tol=1e-10, method="gauss")
+    value, _ = half_line_integral(lambda k: np.exp(-0.01 * k), decay=0.01, spec=spec)
+    [(raw, reference, calls, nodes)] = gauss_integrals
+    assert calls == math.ceil(nodes / thermo.GAUSS_BLOCK) > 1
+    assert abs(raw - reference) <= 1e-13 * abs(reference)
+    assert value == pytest.approx(200.0, abs=1e-10)
+
+
 def test_quadrature_tail_guard():
     with pytest.raises(QuadratureError):
         half_line_integral(lambda k: np.exp(-0.01 * k),
@@ -196,6 +275,18 @@ def test_ground_energy_density_per_site_converges():
         diffs.append(abs(model - scan[two_n]) / two_n)
     assert diffs[1] < diffs[0]  # observed decreasing per-site gap
     assert diffs[1] < 0.25      # residual gap is O(1)/2N (see notes/decisions.md)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "gauss"])
+def test_ground_energy_density_imaginary_part_warning(method):
+    pr = _pr(a_bar=0.66, p=1.2, q_bar=0.7, xi=1.2)
+    spec = QuadratureSpec(method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clean = ground_energy_density(pr, lambda k: density_regime1(k, pr), spec)
+    with pytest.warns(UserWarning, match="imaginary part"):
+        noisy = ground_energy_density(pr, lambda k: density_regime1(k, pr) + 1e-9j, spec)
+    assert noisy == clean  # the real part alone enters the integral
 
 
 def test_ground_energy_density_prefactor_at_a0():
