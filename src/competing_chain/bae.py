@@ -568,8 +568,10 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
 
     The smallest size is solved from the regime seed (full retry ladder);
     each larger size is seeded from the previous solution with new outer
-    string centers appended, tried as a direct homogeneous solve first.
-    Returns a list of (two_n, energy, roots) at θ̄ = 0.
+    string centers appended and takes one direct homogeneous solve.  A
+    failed solve, or one that lands on an excited branch, raises
+    SolverError naming 2N at once.  Returns a list of (two_n, energy, roots)
+    at θ̄ = 0.
     """
     sizes = sorted(set(int(s) for s in sizes))
     if any(s % 2 or s < 4 for s in sizes):
@@ -596,19 +598,18 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
             # the bulk gain per added site is about E_prev / 2N_prev < 0; a
             # candidate gaining much less has jumped to an excited branch
             min_gain = 0.25 * (two_n - prev_two_n) * (prev_energy / prev_two_n)
-            sol = energy = None
-            for mode in (None, HOMOTOPY_STEPS):
-                try:
-                    cand = solve_bae(seed, pr, homotopy=mode, tol=tol)
-                except (SolverError, DegeneracyError):
-                    continue
-                cand_energy = energy_from_roots(cand, pr)
-                if cand_energy <= prev_energy + min_gain:
-                    sol, energy = cand, cand_energy
-                    break
-            if sol is None:
+            try:
+                sol = solve_bae(seed, pr, homotopy=None, tol=tol)
+            except (SolverError, DegeneracyError) as exc:
                 raise SolverError(
-                    f"size continuation lost the ground state at 2N={two_n}")
+                    f"size continuation failed at 2N={two_n}: {exc}",
+                    best_roots=getattr(exc, "best_roots", None),
+                    history=getattr(exc, "history", None)) from exc
+            energy = energy_from_roots(sol, pr)
+            if energy > prev_energy + min_gain:
+                raise SolverError(
+                    f"size continuation lost the ground state at 2N={two_n}",
+                    best_roots=sol)
         prev = (_pattern_from_roots(sol, pr), two_n, energy)
         if two_n in requested:
             results.append((two_n, energy, sol))

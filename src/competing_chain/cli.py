@@ -26,7 +26,7 @@ import numpy as np
 from . import algebra, bae, spectrum, thermo
 from .errors import CompetingChainError, ParameterError
 from .hamiltonian import hamiltonian_direct
-from .params import ModelParams
+from .params import ModelParams, config_values
 from .transfer import (hamiltonian_from_transfer, transfer_commutator_residual,
                        crossing_residual, transfer_identity_residual)
 
@@ -42,28 +42,15 @@ def _fmt(x: float) -> str:
 def _build_params(args) -> ModelParams:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            params = ModelParams.from_config_text(fh.read())
-        updates = {}
-        for key, attr in (("two_n", "two_n"), ("a_bar", "a_bar"), ("p", "p"),
-                          ("q", "q"), ("xi", "xi")):
-            val = getattr(args, attr, None)
-            if val is not None:
-                updates[key] = val
-        theta = _parse_theta(args.theta)
-        base = params.to_dict()
-        base.update(updates)
-        if theta is not None:
-            base["theta_bar"] = list(theta)
-        return ModelParams.from_dict(base)
+            fields = config_values(fh.read())
+    else:
+        fields = {"two_n": 8}
+    fields.update((key, getattr(args, key)) for key in ("two_n", "a_bar", "p", "q", "xi")
+                  if getattr(args, key) is not None)
     theta = _parse_theta(args.theta)
-    return ModelParams(
-        two_n=args.two_n if args.two_n is not None else 8,
-        a_bar=args.a_bar if args.a_bar is not None else 0.0,
-        p=args.p if args.p is not None else 1.0,
-        q=args.q if args.q is not None else 1.0,
-        xi=args.xi if args.xi is not None else 0.0,
-        theta_bar=theta if theta is not None else (),
-    )
+    if theta is not None:
+        fields["theta_bar"] = theta
+    return ModelParams(**fields)
 
 
 def _parse_theta(text):

@@ -69,7 +69,7 @@ def _local_terms(params: ModelParams):
     return terms
 
 
-def hamiltonian_direct(params: ModelParams, max_sites: int = MAX_SITES) -> np.ndarray:
+def hamiltonian_direct(params: ModelParams) -> np.ndarray:
     """Dense 2^{2N}-dimensional hermitian Hamiltonian from the spin couplings.
 
     Every local term is summed into the 8x8 block of the three-site window
@@ -78,8 +78,8 @@ def hamiltonian_direct(params: ModelParams, max_sites: int = MAX_SITES) -> np.nd
     ignored here by construction.
     """
     two_n = params.two_n
-    if two_n > max_sites:
-        raise SizeError(f"two_n={two_n} exceeds the dense-construction cap {max_sites}")
+    if two_n > MAX_SITES:
+        raise SizeError(f"two_n={two_n} exceeds the dense-construction cap {MAX_SITES}")
     blocks = np.zeros((two_n - 2, 8, 8), dtype=complex)
     for site, coeff, factors in _local_terms(params):
         first = min(site, two_n - 2)   # window of sites first..first+2

@@ -95,29 +95,7 @@ class ModelParams:
 
     @staticmethod
     def from_config_text(text: str) -> "ModelParams":
-        values = {}
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"malformed config line: {raw!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
-        try:
-            two_n = int(values["two_n"])
-        except KeyError as exc:
-            raise ParameterError("config is missing key 'two_n'") from exc
-        theta = values.get("theta_bar", "").strip()
-        theta_bar = tuple(float(t) for t in theta.split(",") if t.strip()) if theta else ()
-        return ModelParams(
-            two_n=two_n,
-            a_bar=float(values.get("a_bar", 0.0)),
-            p=float(values.get("p", 1.0)),
-            q=float(values.get("q", 1.0)),
-            xi=float(values.get("xi", 0.0)),
-            theta_bar=theta_bar,
-        )
+        return ModelParams(**config_values(text))
 
     def to_dict(self) -> dict:
         return {
@@ -139,6 +117,27 @@ class ModelParams:
             xi=float(d["xi"]),
             theta_bar=tuple(d.get("theta_bar", ())),
         )
+
+
+def config_values(text: str) -> dict:
+    """The ModelParams fields a flat key = value text sets, typed; others are left out."""
+    values = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"malformed config line: {raw!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        values[key] = val
+    if "two_n" not in values:
+        raise ParameterError("config is missing key 'two_n'")
+    fields = {"two_n": int(values["two_n"])}
+    fields.update((k, float(values[k])) for k in ("a_bar", "p", "q", "xi") if k in values)
+    theta = values.get("theta_bar", "").strip()
+    if theta:
+        fields["theta_bar"] = tuple(float(t) for t in theta.split(",") if t.strip())
+    return fields
 
 
 @dataclass(frozen=True)

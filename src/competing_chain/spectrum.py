@@ -39,6 +39,12 @@ DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
 ROOT_ZERO_TOL = 1e-12
 POLISH_STEPS = 2
+HERM_TOL = 1e-12          # hermiticity defect of H, relative to max(1, |H|)
+DEGENERACY_GAP = 1e-9     # level spacing, relative to the spectral scale
+VAR_TOL = 1e-8            # transfer variance, relative to |Λ|^2
+COND_THRESHOLD = 1e12     # largest Chebyshev-Vandermonde condition number
+LEADING_TOL = 1e-6        # relative deviation of the leading coefficient from 2
+PAIR_TOL = 1e-6           # largest |s_i + s_j| mismatch of a ± root pair
 
 
 @dataclass
@@ -134,8 +140,7 @@ def lambda_from_roots(u, roots: ZeroRootSet | tuple):
 # exact diagonalization
 # ---------------------------------------------------------------------------
 
-def diagonalize(params: ModelParams, resolve_degeneracies: bool = True,
-                herm_tol: float = 1e-12, degeneracy_gap: float = 1e-9) -> list:
+def diagonalize(params: ModelParams) -> list:
     """Full spectrum of the hermitian chain Hamiltonian, ascending.
 
     Degenerate levels are resolved into transfer eigenstates by
@@ -144,26 +149,25 @@ def diagonalize(params: ModelParams, resolve_degeneracies: bool = True,
     """
     h = hamiltonian_direct(params)
     defect = max_norm(h - h.conj().T)
-    if defect > herm_tol * max(1.0, max_norm(h)):
+    if defect > HERM_TOL * max(1.0, max_norm(h)):
         raise ConsistencyError(f"Hamiltonian hermiticity defect {defect:.3e}")
     energies, vectors = np.linalg.eigh(h)
     pairs = [EigenPair(float(energies[i]), np.ascontiguousarray(vectors[:, i]))
              for i in range(len(energies))]
-    if resolve_degeneracies:
-        _resolve_degenerate_blocks(pairs, params, gap=degeneracy_gap)
+    _resolve_degenerate_blocks(pairs, params)
     return pairs
 
 
-def _resolve_degenerate_blocks(pairs, params, gap, u_star=DEGENERACY_RESOLVE_POINT):
+def _resolve_degenerate_blocks(pairs, params):
     i = 0
     scale = max(1.0, abs(pairs[-1].energy), abs(pairs[0].energy))
     while i < len(pairs):
         j = i + 1
-        while j < len(pairs) and abs(pairs[j].energy - pairs[i].energy) <= gap * scale:
+        while j < len(pairs) and abs(pairs[j].energy - pairs[i].energy) <= DEGENERACY_GAP * scale:
             j += 1
         if j - i > 1:
             block = np.column_stack([pairs[k].state for k in range(i, j)])
-            tv = apply_transfer(np.full(j - i, u_star), params, block.T).T
+            tv = apply_transfer(np.full(j - i, DEGENERACY_RESOLVE_POINT), params, block.T).T
             small = block.conj().T @ tv
             _, w = np.linalg.eig(small)
             new = block @ w
@@ -190,10 +194,10 @@ def _transfer_rows(us, params: ModelParams, v: np.ndarray) -> np.ndarray:
     return apply_transfer(us, params, np.broadcast_to(v, (len(us), len(v))))
 
 
-def lambda_samples(state, params: ModelParams, points, var_tol: float = 1e-8):
+def lambda_samples(state, params: ModelParams, points):
     """Rayleigh-quotient samples Λ(u_k) = <v|t(u_k)|v> with variance certificate.
 
-    The certificate <t(u)^2> - <t(u)>^2 <= var_tol |Λ|^2 fails on unresolved
+    The certificate <t(u)^2> - <t(u)>^2 <= VAR_TOL |Λ|^2 fails on unresolved
     degenerate states; resolve them first (see diagonalize).
     """
     v = _state_vector(state)
@@ -202,7 +206,7 @@ def lambda_samples(state, params: ModelParams, points, var_tol: float = 1e-8):
     lam = tv @ v.conj()
     second = apply_transfer(us, params, tv) @ v.conj()
     variance = np.abs(second - lam * lam)
-    bad = np.flatnonzero(variance > var_tol * np.maximum(np.abs(lam) ** 2, 1e-300))
+    bad = np.flatnonzero(variance > VAR_TOL * np.maximum(np.abs(lam) ** 2, 1e-300))
     if bad.size:
         k = bad[0]
         raise DegeneracyError(
@@ -222,9 +226,8 @@ def chebyshev_sample_points(two_n: int, interval=DEFAULT_INTERVAL) -> np.ndarray
     return np.unique(pts)
 
 
-def fit_lambda_polynomial(points, values, two_n: int, interval=DEFAULT_INTERVAL,
-                          cond_threshold: float = 1e12,
-                          leading_tol: float = 1e-6) -> SpectralPolynomial:
+def fit_lambda_polynomial(points, values, two_n: int,
+                          interval=DEFAULT_INTERVAL) -> SpectralPolynomial:
     """Interpolate Λ through >= 4N+3 samples; degree 4N+2, leading coeff 2."""
     degree = 2 * two_n + 2
     points = np.asarray(points, dtype=float)
@@ -235,9 +238,9 @@ def fit_lambda_polynomial(points, values, two_n: int, interval=DEFAULT_INTERVAL,
     mapped = (2.0 * points - (lo + hi)) / (hi - lo)
     design = npcheb.chebvander(mapped, degree)
     cond = np.linalg.cond(design)
-    if cond > cond_threshold:
+    if cond > COND_THRESHOLD:
         raise FitError(
-            f"Vandermonde condition {cond:.3e} above {cond_threshold:.1e}; "
+            f"Vandermonde condition {cond:.3e} above {COND_THRESHOLD:.1e}; "
             "widen the sample interval")
     coeffs_cheb, *_ = np.linalg.lstsq(design, values, rcond=None)
     series = npcheb.Chebyshev(coeffs_cheb, domain=[lo, hi])
@@ -245,8 +248,8 @@ def fit_lambda_polynomial(points, values, two_n: int, interval=DEFAULT_INTERVAL,
     coeffs = np.zeros(degree + 1, dtype=complex)
     coeffs[: len(power.coef)] = power.coef
     lead = coeffs[-1]
-    if abs(lead / 2.0 - 1.0) > leading_tol:
-        raise FitError(f"leading coefficient {lead} deviates from 2 beyond {leading_tol}")
+    if abs(lead / 2.0 - 1.0) > LEADING_TOL:
+        raise FitError(f"leading coefficient {lead} deviates from 2 beyond {LEADING_TOL}")
     return SpectralPolynomial(coeffs=tuple(coeffs))
 
 
@@ -254,7 +257,7 @@ def fit_lambda_polynomial(points, values, two_n: int, interval=DEFAULT_INTERVAL,
 # zero roots
 # ---------------------------------------------------------------------------
 
-def _pair_shifts(shifts, pair_tol: float):
+def _pair_shifts(shifts):
     """Greedy ±-pairing of the shifted roots; returns (representatives, worst)."""
     shifts = list(shifts)
     reps = []
@@ -266,8 +269,8 @@ def _pair_shifts(shifts, pair_tol: float):
         worst = max(worst, dists[k])
         partner = shifts.pop(k)
         reps.append(canonical_root(0.5 * (s0 - partner)))
-    if worst > pair_tol:
-        raise ExtractionError(f"unpairable zero roots: mismatch {worst:.3e} > {pair_tol:.1e}")
+    if worst > PAIR_TOL:
+        raise ExtractionError(f"unpairable zero roots: mismatch {worst:.3e} > {PAIR_TOL:.1e}")
     return reps, worst
 
 
@@ -285,26 +288,24 @@ def _polish_on_curve(curve, u: np.ndarray, coeffs: np.ndarray, steps: int) -> np
     return u
 
 
-def _zero_roots(poly: SpectralPolynomial, curve, steps: int, pair_tol: float) -> ZeroRootSet:
+def _zero_roots(poly: SpectralPolynomial, curve, steps: int) -> ZeroRootSet:
     """Companion roots of the fit, Newton-polished on ``curve``, then ± paired."""
     coeffs = np.asarray(poly.coeffs)
     u_roots = _polish_on_curve(curve, nppoly.polyroots(coeffs), coeffs, steps)
-    reps, worst = _pair_shifts(u_roots + 0.5, pair_tol)
+    reps, worst = _pair_shifts(u_roots + 0.5)
     return ZeroRootSet(two_n=len(reps) - 1, z=_sorted_roots(reps), residual=float(worst))
 
 
-def extract_zero_roots(poly: SpectralPolynomial, pair_tol: float = 1e-6) -> ZeroRootSet:
+def extract_zero_roots(poly: SpectralPolynomial) -> ZeroRootSet:
     """Companion-matrix roots of Λ, one Newton polish, then sign pairing.
 
     Shifts s = u_root + 1/2 come in ± pairs; each pair is averaged into one
     representative.  The pairing residual is the worst |s_i + s_j| mismatch.
     """
-    return _zero_roots(poly, poly, steps=1, pair_tol=pair_tol)
+    return _zero_roots(poly, poly, steps=1)
 
 
-def state_zero_roots(state, params: ModelParams, interval=DEFAULT_INTERVAL,
-                     refine: bool = True, var_tol: float = 1e-8,
-                     pair_tol: float = 1e-6) -> ZeroRootSet:
+def state_zero_roots(state, params: ModelParams) -> ZeroRootSet:
     """Full pipeline eigenstate -> Λ samples -> polynomial -> polished roots.
 
     The polynomial roots are polished on the exact Rayleigh quotient before
@@ -312,16 +313,13 @@ def state_zero_roots(state, params: ModelParams, interval=DEFAULT_INTERVAL,
     roots of the degree-(4N+2) interpolant carry 1e-6-level noise.
     """
     v = _state_vector(state)
-    pts = chebyshev_sample_points(params.two_n, interval)
-    poly = fit_lambda_polynomial(pts, lambda_samples(v, params, pts, var_tol=var_tol),
-                                 params.two_n, interval)
+    pts = chebyshev_sample_points(params.two_n)
+    poly = fit_lambda_polynomial(pts, lambda_samples(v, params, pts), params.two_n)
     curve = lambda us: _transfer_rows(us, params, v) @ v.conj()
-    return _zero_roots(poly, curve, POLISH_STEPS if refine else 0, pair_tol)
+    return _zero_roots(poly, curve, POLISH_STEPS)
 
 
-def transfer_state_roots(params: ModelParams, reference_state: np.ndarray,
-                         u_star: float = DEGENERACY_RESOLVE_POINT,
-                         interval=DEFAULT_INTERVAL, refine: bool = True) -> ZeroRootSet:
+def transfer_state_roots(params: ModelParams, reference_state: np.ndarray) -> ZeroRootSet:
     """Zero roots of the transfer eigenstate continuously connected to a reference.
 
     Works at nonzero inhomogeneities, where no Hamiltonian exists: t(u*) is
@@ -329,7 +327,7 @@ def transfer_state_roots(params: ModelParams, reference_state: np.ndarray,
     reference vector is selected, and Λ(u) is evaluated with the matching
     left eigenvector.
     """
-    t_star = transfer_matrix(u_star, params)
+    t_star = transfer_matrix(DEGENERACY_RESOLVE_POINT, params)
     _, vecs = np.linalg.eig(t_star)
     left = np.linalg.inv(vecs)
     ref = np.asarray(reference_state, dtype=complex)
@@ -340,9 +338,9 @@ def transfer_state_roots(params: ModelParams, reference_state: np.ndarray,
     norm = complex(w @ v)
     curve = lambda us: (_transfer_rows(us, params, v) @ w) / norm
 
-    pts = chebyshev_sample_points(params.two_n, interval)
-    poly = fit_lambda_polynomial(pts, curve(pts), params.two_n, interval)
-    return _zero_roots(poly, curve, POLISH_STEPS if refine else 0, pair_tol=1e-6)
+    pts = chebyshev_sample_points(params.two_n)
+    poly = fit_lambda_polynomial(pts, curve(pts), params.two_n)
+    return _zero_roots(poly, curve, POLISH_STEPS)
 
 
 def inversion_identity_check(roots: ZeroRootSet, params: ModelParams, j: int) -> float:

@@ -96,6 +96,7 @@ class ThermoResult:
         }
 
 
+STRING_FLAG_TOL = 1e-6    # largest |string excitation energy| taken as zero
 GAUSS_ORDER = 40          # Gauss–Legendre nodes per panel
 GAUSS_BLOCK = 65536       # most nodes handed to the integrand in one call
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -314,6 +315,9 @@ def bulk_excitation_energy(z_bar: float, params: ModelParams,
 def _bulk_excitation(z_bar: float, params: ModelParams, spec: QuadratureSpec):
     """(bulk_excitation_energy, its quadrature error estimate)."""
     ab = params.a_bar
+    scale = 0.5 * (1.0 + 4.0 * ab ** 2)
+    # the estimate is scaled like the value: keep scale * err below abs_tol
+    spec = replace(spec, abs_tol=spec.abs_tol / max(1.0, scale))
 
     def envelope(k):
         return np.tanh(0.5 * k) * np.exp(-0.5 * k)
@@ -330,18 +334,16 @@ def _bulk_excitation(z_bar: float, params: ModelParams, spec: QuadratureSpec):
         value, err = v_plus + v_minus, err_plus + err_minus
     rational = (1.0 / ((z_bar + ab) ** 2 + 0.25)
                 + 1.0 / ((z_bar - ab) ** 2 + 0.25))
-    scale = 0.5 * (1.0 + 4.0 * ab ** 2)
     return scale * (value + rational), scale * err
 
 
 def string_excitation_energy(n: int, z_tilde: float, params: ModelParams,
-                             spec: QuadratureSpec = DEFAULT_SPEC,
-                             flag_tol: float = 1e-6) -> float:
+                             spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Energy carried by a single n-string pair, n > 2: analytically zero.
 
     The back-flow integral cancels the bare 2π a_{n±1} terms exactly, so
     the returned value doubles as a quadrature self-test; values above
-    flag_tol indicate an inconsistency and raise a warning.
+    STRING_FLAG_TOL indicate an inconsistency and raise a warning.
     """
     if n < 3:
         raise DomainError("string excitations need n >= 3; n = 2 pairs form the sea")
@@ -358,7 +360,7 @@ def string_excitation_energy(n: int, z_tilde: float, params: ModelParams,
         rational += (n + 1.0) / (x * x + 0.25 * (n + 1.0) ** 2)
         rational -= (n - 1.0) / (x * x + 0.25 * (n - 1.0) ** 2)
     out = 0.5 * (1.0 + 4.0 * ab ** 2) * (integral + rational)
-    if abs(out) > flag_tol:
+    if abs(out) > STRING_FLAG_TOL:
         warnings.warn(
             f"string excitation energy {out:.3e} fails the analytic cancellation")
     return out
@@ -382,6 +384,8 @@ def _boundary_excitation(b: float, params: ModelParams, spec: QuadratureSpec):
     babs = abs(b)
     if babs == 0.0 and ab == 0.0:
         return math.inf, 0.0
+    scale = 0.5 * (1.0 + 4.0 * ab ** 2)
+    spec = replace(spec, abs_tol=spec.abs_tol / max(1.0, scale))
 
     def f(k):
         return (np.tanh(0.5 * k) * np.cos(ab * k)
@@ -390,5 +394,4 @@ def _boundary_excitation(b: float, params: ModelParams, spec: QuadratureSpec):
     rational = (4.0 * babs / (babs ** 2 + ab ** 2) if babs > 0.0 else 0.0)
     rational += 2.0 * (1.0 - babs) / (ab ** 2 + (1.0 - babs) ** 2)
     rational -= 2.0 * (1.0 + babs) / (ab ** 2 + (1.0 + babs) ** 2)
-    scale = 0.5 * (1.0 + 4.0 * ab ** 2)
     return scale * (value + rational), scale * err

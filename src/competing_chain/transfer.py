@@ -90,19 +90,19 @@ def _apply_aux(k2: np.ndarray, m4: np.ndarray) -> np.ndarray:
     return np.einsum("ac,cibj->aibj", k2, m4)
 
 
-def transfer_matrix(u, params: ModelParams, max_dim: int = MAX_DIM) -> np.ndarray:
+def transfer_matrix(u, params: ModelParams) -> np.ndarray:
     """Dense transfer matrix t(u) on the 2^{2N}-dimensional quantum space."""
-    t0 = _as_blocks(monodromy(u, params, max_dim=max_dim))
-    th = _as_blocks(monodromy(u, params, reflected=True, max_dim=max_dim))
+    t0 = _as_blocks(monodromy(u, params))
+    th = _as_blocks(monodromy(u, params, reflected=True))
     a4 = _apply_aux(k_plus(u, params.q, params.xi), t0)
     b4 = _apply_aux(k_minus(u, params.p), th)
     return _aux_contract(a4, b4)
 
 
-def transfer_and_derivative(u, params: ModelParams, max_dim: int = MAX_DIM):
+def transfer_and_derivative(u, params: ModelParams):
     """(t(u), t'(u)) with the derivative taken by the exact product rule."""
-    m0, dm0 = monodromy(u, params, derivative=True, max_dim=max_dim)
-    mh, dmh = monodromy(u, params, reflected=True, derivative=True, max_dim=max_dim)
+    m0, dm0 = monodromy(u, params, derivative=True)
+    mh, dmh = monodromy(u, params, reflected=True, derivative=True)
     t0, dt0 = _as_blocks(m0), _as_blocks(dm0)
     th, dth = _as_blocks(mh), _as_blocks(dmh)
     kp = k_plus(u, params.q, params.xi)
@@ -168,8 +168,7 @@ def transfer_identity_residual(j: int, params: ModelParams) -> float:
     return max_norm(lhs - rhs) / max(abs(scalar), 1e-300)
 
 
-def hamiltonian_from_transfer(params: ModelParams, max_dim: int = MAX_DIM,
-                              _flip_c2_sign: bool = False) -> np.ndarray:
+def hamiltonian_from_transfer(params: ModelParams, _flip_c2_sign: bool = False) -> np.ndarray:
     """Hamiltonian generated by the transfer family at the homogeneous point.
 
     Uses the commuting-family rewriting c2^{-1} [t(-a) t'(a) + t(a) t'(-a)] - c0,
@@ -179,8 +178,8 @@ def hamiltonian_from_transfer(params: ModelParams, max_dim: int = MAX_DIM,
     if not params.homogeneous():
         raise ParameterError("transfer-generated Hamiltonian requires theta_bar = 0")
     a = params.a
-    tp, dtp = transfer_and_derivative(a, params, max_dim=max_dim)
-    tm, dtm = transfer_and_derivative(-a, params, max_dim=max_dim)
+    tp, dtp = transfer_and_derivative(a, params)
+    tm, dtm = transfer_and_derivative(-a, params)
     c2 = c2_constant(params)
     if _flip_c2_sign:
         c2 = -c2

@@ -220,3 +220,25 @@ def test_ground_state_scan_matches_ed():
     assert abs(res[0][1] - ed8) <= 1e-8
     # 2N=10 reference from a one-off dense diagonalization
     assert res[1][1] == pytest.approx(-28.027604097360523, abs=1e-8)
+
+
+def test_ground_state_scan_stops_at_first_failed_warm_size(monkeypatch):
+    # a failed warm solve ends the scan at once: no retry ladder at that size
+    base = ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2)
+    marker = ZeroRootSet(two_n=10, z=(1j,) * 11)
+    injected = SolverError("injected", best_roots=marker, history=[0.5])
+    calls = []
+    solve = bae.solve_bae
+
+    def spy(seed, params, homotopy=bae.HOMOTOPY_STEPS, **kwargs):
+        calls.append((params.two_n, homotopy))
+        if params.two_n == 10:
+            raise injected
+        return solve(seed, params, homotopy, **kwargs)
+
+    monkeypatch.setattr(bae, "solve_bae", spy)
+    with pytest.raises(SolverError, match="2N=10") as info:
+        ground_state_scan(base, [8, 10])
+    assert calls == [(8, bae.HOMOTOPY_STEPS), (10, None)]
+    assert info.value.__cause__ is injected
+    assert info.value.best_roots is marker and info.value.history == [0.5]

@@ -115,20 +115,33 @@ def test_scan_rectangular_with_divergence_marker(tmp_path):
 ], ids=["bulk_excitation", "boundary_excitation"])
 @pytest.mark.parametrize("method", ["adaptive", "gauss"])
 def test_scan_excitation_reports_error_estimate(tmp_path, args, method):
-    out = tmp_path / "scan.csv"
     tol = 1e-9
-    assert run(["scan"] + args + ["--two-n", "8", "--a-bar", "0.66", "--q", "1.0",
+    est = _scan_error_estimates(tmp_path, args, "0.66", tol, method)
+    assert all(0.0 <= e <= tol for e in est)
+    assert any(e != tol for e in est)  # an estimate, not the tolerance echoed
+
+
+@pytest.mark.parametrize("args", [
+    ["--quantity", "bulk_excitation", "--var", "z_bar", "--grid=-3:3:7"],
+    ["--quantity", "boundary_excitation", "--var", "p", "--grid=-0.22:0.22:5"],
+], ids=["bulk_excitation", "boundary_excitation"])
+def test_scan_excitation_estimate_within_tolerance_at_large_a_bar(tmp_path, args):
+    # the prefactor 0.5(1+4ā²) = 3.38 scales the estimate along with the value
+    tol = 1e-9
+    assert all(0.0 <= e <= tol
+               for e in _scan_error_estimates(tmp_path, args, "1.2", tol, "adaptive"))
+
+
+def _scan_error_estimates(tmp_path, args, a_bar, tol, method):
+    out = tmp_path / "scan.csv"
+    assert run(["scan"] + args + ["--two-n", "8", "--a-bar", a_bar, "--q", "1.0",
                                   "--xi", "1.2", "--quad-tol", str(tol),
                                   "--quad-method", method, "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[-2:] == ["est_error", "status"]
     rows = [line.split(",") for line in lines[1:]]
     assert [r[-1] for r in rows] == ["ok"] * len(rows)
-    est = [float(r[-2]) for r in rows]
-    # holds at this ā; at large ā the prefactor 0.5(1+4ā²) can lift the scaled
-    # estimate above the tolerance (ROADMAP item 5)
-    assert all(0.0 <= e <= tol for e in est)
-    assert any(e != tol for e in est)  # an estimate, not the tolerance echoed
+    return [float(r[-2]) for r in rows]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -143,6 +156,16 @@ def test_config_file_and_flag_override(tmp_path):
     assert d1["params"]["p"] == 1.0
     assert d2["params"]["p"] == 2.0
     assert d1["value"] != d2["value"]
+
+
+def test_config_with_two_n_only_matches_flag_defaults(tmp_path):
+    cfg = tmp_path / "chain.cfg"
+    cfg.write_text("two_n = 6\n")
+    out1 = tmp_path / "config.json"
+    out2 = tmp_path / "flags.json"
+    assert run(["thermo", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert run(["thermo", "--two-n", "6", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 @pytest.mark.parametrize("args", [
