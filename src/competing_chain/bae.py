@@ -37,6 +37,7 @@ defined at the homogeneous point only.
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,6 +62,8 @@ CLASSIFY_TOL_SCALE = 1e-4     # axis tolerance per root, times (1 + |root|)
 STRING_TOL = 0.35             # |2 Im z̄ - n| for an n-string member
 BOUNDARY_TOL = 0.1            # distance to the asymptotic boundary-pair heights
 ENERGY_IMAG_TOL = 1e-8        # largest imaginary part of a consistent root energy
+
+_log = logging.getLogger(__name__)
 
 
 def regime_of(p: float, q_bar: float) -> str:
@@ -222,50 +225,70 @@ def _avoid_half(value: float, margin: float = 0.02) -> float:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _log_jets(u: np.ndarray, r: np.ndarray, c, t: np.ndarray, w: np.ndarray):
-    """Taylor rows of log f for f(u) = c ∏_k (u - t_k)^{w_k}, and their t-gradients.
+def _log_jets(u: np.ndarray, r: np.ndarray, c, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Taylor rows of log f for f(u) = c ∏_k (u - t_k)^{w_k}.
 
     Row i is (1/r_i!) d^{r_i}/du^{r_i} log f at u_i: log f itself for r = 0,
-    Σ_k w_k (-1)^{r-1} (u - t_k)^{-r} / r for r >= 1.  The gradient entry
-    [i, k] is the derivative of row i in t_k, w_k (-1)^{r+1} (u - t_k)^{-r-1}.
+    Σ_k w_k (-1)^{r-1} (u - t_k)^{-r} / r for r >= 1.
     """
     d = u[:, None] - t
+    jet = r > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not jet.any():
+            terms = np.log(d)
+        else:
+            terms = np.empty_like(d)
+            terms[~jet] = np.log(d[~jet])
+            rr = r[jet, None]
+            terms[jet] = (-1.0) ** (rr - 1) * d[jet] ** -rr / rr
+    return np.where(r == 0, np.log(c), 0.0) + terms @ w
+
+
+def _jet_gradient(u: np.ndarray, r: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """t-gradient of the _log_jets rows: entry [i, k] is w_k (-1)^{r_i+1} (u_i - t_k)^{-r_i-1}."""
     rr = r[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(rr == 0, np.log(d), (-1.0) ** (rr - 1) * d ** -rr / np.maximum(rr, 1))
-        grad = w * (-1.0) ** (rr + 1) * d ** -(rr + 1)
-    return np.where(r == 0, np.log(c), 0.0) + terms @ w, grad
+        return w * (-1.0) ** (rr + 1) * (u[:, None] - t) ** -(rr + 1)
 
 
-def _log_lambda(u: np.ndarray, r: np.ndarray, z: np.ndarray):
-    """Taylor rows of log Λ and their z-derivatives, Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2)."""
+def _lambda_zeros(z: np.ndarray) -> np.ndarray:
+    """Zeros of Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2)."""
+    return np.concatenate([z - 0.5, -z - 0.5])
+
+
+def _log_lambda(u: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Taylor rows of log Λ."""
+    return _log_jets(u, r, 2.0, _lambda_zeros(z), np.ones(2 * len(z)))
+
+
+def _log_lambda_grad(u: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """z-derivatives of the _log_lambda rows."""
     n = len(z)
-    rows, grad = _log_jets(u, r, 2.0, np.concatenate([z - 0.5, -z - 0.5]), np.ones(2 * n))
-    return rows, grad[:, :n] - grad[:, n:]
+    grad = _jet_gradient(u, r, _lambda_zeros(z), np.ones(2 * n))
+    return grad[:, :n] - grad[:, n:]
 
 
 def _log_a_rows(u: np.ndarray, r: np.ndarray, params: ModelParams) -> np.ndarray:
     """Taylor rows of log a from the zero/pole table of transfer.a_table."""
-    return _log_jets(u, r, *a_table(params))[0]
+    return _log_jets(u, r, *a_table(params))
+
+
+def _log_ad_rows(x: np.ndarray, r: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Taylor rows at x of log a(x)d(x-1) = log a(x)a(-x)."""
+    return _log_a_rows(x, r, params) + (-1.0) ** r * _log_a_rows(-x, r, params)
+
+
+_ZERO = np.zeros(1, dtype=int)
 
 
 def _fused_logs(x: np.ndarray, r: np.ndarray, z: np.ndarray, params: ModelParams):
-    """Taylor rows at x of log Λ(x)Λ(x-1) and of log a(x)d(x-1) = log a(x)a(-x).
-
-    Also returns the z-derivatives of the first; the second does not
-    depend on the roots.
-    """
-    lam0, dlam0 = _log_lambda(x, r, z)
-    lam1, dlam1 = _log_lambda(x - 1.0, r, z)
-    rhs = _log_a_rows(x, r, params) + (-1.0) ** r * _log_a_rows(-x, r, params)
-    return lam0 + lam1, rhs, dlam0 + dlam1
+    """Taylor rows at x of log Λ(x)Λ(x-1) and of log a(x)d(x-1) = log a(x)a(-x)."""
+    return _log_lambda(x, r, z) + _log_lambda(x - 1.0, r, z), _log_ad_rows(x, r, params)
 
 
 def _lambda_zero_logs(z: np.ndarray, params: ModelParams):
-    """log Λ(0), its z-derivative and the required log a(0) = log 2pq∏(1-θ_j-a)(1+θ_j+a)."""
-    zero = np.zeros(1, dtype=int)
-    lam, dlam = _log_lambda(zero, zero, z)
-    return lam[0], _log_a_rows(zero, zero, params)[0], dlam[0]
+    """log Λ(0) and the required log a(0) = log 2pq∏(1-θ_j-a)(1+θ_j+a)."""
+    return _log_lambda(_ZERO, _ZERO, z)[0], _log_a_rows(_ZERO, _ZERO, params)[0]
 
 
 def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
@@ -277,13 +300,13 @@ def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
     """
     z = np.asarray(roots.z, dtype=complex)
     x = params.thetas + params.a
-    lhs, rhs, _ = _fused_logs(x, np.zeros(len(x), dtype=int), z, params)
+    lhs, rhs = _fused_logs(x, np.zeros(len(x), dtype=int), z, params)
     out = np.exp(lhs - rhs) - 1.0
     vanishing = ~np.isfinite(rhs)
     if np.any(vanishing):
         warnings.warn("vanishing equation RHS; using unnormalized residual")
         out[vanishing] = np.exp(lhs[vanishing]) - np.exp(rhs[vanishing])
-    lam0, a0, _ = _lambda_zero_logs(z, params)
+    lam0, a0 = _lambda_zero_logs(z, params)
     return np.append(out, np.exp(lam0 - a0) - 1.0)
 
 
@@ -304,23 +327,44 @@ def _principal_log(value):
     return value - 2.0j * np.pi * np.round(np.imag(value) / (2.0 * np.pi))
 
 
-def _confluent_system(z: np.ndarray, params: ModelParams):
-    """Solver residual in logarithmic form and its exact derivative in z.
+@dataclass(frozen=True)
+class _Stage:
+    """The root-independent part of the confluent system at one θ̄ profile.
 
-    Per distinct θ value of multiplicity μ: the principal-branch log ratio
-    L(x) and the scaled jets L^(r)(x) s^r / r!, r = 1..μ-1; then the
-    log-form Λ(0) defect.  The raw ratio form is used only for the final
-    certification.
+    Per distinct θ value of multiplicity μ there are rows r = 0..μ-1 at the
+    node x = iθ̄ + a, scaled by JET_SCALE^r; rhs holds their Taylor rows of
+    log a(x)a(-x) and a0 = log a(0).
     """
-    groups = _theta_groups(params.theta_bar)
-    x = np.asarray([1j * v + params.a for v, mult in groups for _ in range(mult)])
-    r = np.asarray([k for _, mult in groups for k in range(mult)], dtype=int)
-    lhs, rhs, dlhs = _fused_logs(x, r, z, params)
-    scale = JET_SCALE ** r
-    rows = np.where(r == 0, _principal_log(lhs - rhs), scale * (lhs - rhs))
-    lam0, a0, dlam0 = _lambda_zero_logs(z, params)
-    return (np.append(rows, _principal_log(lam0 - a0)),
-            np.vstack([scale[:, None] * dlhs, dlam0]))
+
+    x: np.ndarray
+    r: np.ndarray
+    scale: np.ndarray
+    rhs: np.ndarray
+    a0: complex
+
+    @classmethod
+    def of(cls, params: ModelParams) -> "_Stage":
+        groups = _theta_groups(params.theta_bar)
+        x = np.asarray([1j * v + params.a for v, mult in groups for _ in range(mult)])
+        r = np.asarray([k for _, mult in groups for k in range(mult)], dtype=int)
+        return cls(x, r, JET_SCALE ** r, _log_ad_rows(x, r, params),
+                   _log_a_rows(_ZERO, _ZERO, params)[0])
+
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        """Solver residual in logarithmic form.
+
+        The principal-branch log ratio L(x) and the scaled jets
+        L^(r)(x) s^r / r!, then the log-form Λ(0) defect.  The raw ratio
+        form is used only for the final certification.
+        """
+        diff = _log_lambda(self.x, self.r, z) + _log_lambda(self.x - 1.0, self.r, z) - self.rhs
+        rows = np.where(self.r == 0, _principal_log(diff), self.scale * diff)
+        return np.append(rows, _principal_log(_log_lambda(_ZERO, _ZERO, z)[0] - self.a0))
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        """Exact z-derivative of residual(z)."""
+        dlhs = _log_lambda_grad(self.x, self.r, z) + _log_lambda_grad(self.x - 1.0, self.r, z)
+        return np.vstack([self.scale[:, None] * dlhs, _log_lambda_grad(_ZERO, _ZERO, z)])
 
 
 # ---------------------------------------------------------------------------
@@ -331,56 +375,81 @@ def _stack_real(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real, c.imag])
 
 
-def _reduced_system(z_map: np.ndarray, params: ModelParams, y: np.ndarray):
-    """(residual, real Jacobian) at reduced coordinates y, or None if not finite.
+def _reduced_jacobian(stage: _Stage, z_map: np.ndarray, y: np.ndarray):
+    """Real Jacobian at reduced coordinates y, or None if it is not finite.
 
     z = M |y| with M = _Pattern.z_map(), so dF/dy = (dF/dz M) sign(y); F is
     holomorphic in z and y is real, so the real Jacobian stacks the real and
     imaginary parts.
     """
-    f, dfdz = _confluent_system(z_map @ np.abs(y), params)
-    jac = (dfdz @ z_map) * np.where(y < 0.0, -1.0, 1.0)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac))):
+    jac = (stage.jacobian(z_map @ np.abs(y)) @ z_map) * np.where(y < 0.0, -1.0, 1.0)
+    if not np.all(np.isfinite(jac)):
         return None  # a root hit a logarithmic singularity
-    return f, _stack_real(jac)
+    return _stack_real(jac)
 
 
 def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
                   max_iter: int, history: list) -> _Pattern:
+    """Damped Gauss-Newton at one θ̄ stage.
+
+    Line-search trials evaluate the residual only; the Jacobian is built at
+    the trial the Armijo test accepts, and a non-finite one rejects it.  The
+    stage's counts go to the module logger at DEBUG level.
+    """
+    stage = _Stage.of(params)
     z_map = pattern.z_map()
     y = pattern.encode()
-    system = _reduced_system(z_map, params, y)
-    if system is None:
-        raise SolverError("seed evaluates to a non-finite residual", history=history)
-    f, jac = system
-    fnorm = np.max(np.abs(f))
-    for _ in range(max_iter):
-        history.append(fnorm)
-        if fnorm <= tol:
-            return pattern.decode(y)
-        step, *_ = np.linalg.lstsq(jac, -_stack_real(f), rcond=None)
-        base = np.linalg.norm(_stack_real(f))
-        t = 1.0
-        while True:
-            y_new = y + t * step
-            system = _reduced_system(z_map, params, y_new)
-            if (system is not None
-                    and np.linalg.norm(_stack_real(system[0])) <= (1.0 - 1e-4 * t) * base):
-                break
-            t *= 0.5
-            if t < 2.0 ** -40:
-                raise SolverError(
-                    f"line search stalled at residual {fnorm:.3e}",
-                    best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
-                    history=history)
-        y, (f, jac) = y_new, system
+    iterations, residual_evals, jacobian_evals = 0, 1, 1
+    fnorm, outcome = math.inf, "failed"
+    try:
+        f = stage.residual(z_map @ np.abs(y))
+        jac = _reduced_jacobian(stage, z_map, y)
+        if jac is None or not np.all(np.isfinite(f)):
+            outcome = "non-finite seed"
+            raise SolverError("seed evaluates to a non-finite residual", history=history)
         fnorm = np.max(np.abs(f))
-    if fnorm <= tol:
-        return pattern.decode(y)
-    raise SolverError(
-        f"no convergence in {max_iter} iterations (residual {fnorm:.3e})",
-        best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
-        history=history)
+        for _ in range(max_iter):
+            history.append(fnorm)
+            if fnorm <= tol:
+                break
+            iterations += 1
+            step, *_ = np.linalg.lstsq(jac, -_stack_real(f), rcond=None)
+            base = np.linalg.norm(_stack_real(f))
+            t = 1.0
+            while True:
+                y_new = y + t * step
+                f_new = stage.residual(z_map @ np.abs(y_new))
+                residual_evals += 1
+                # a non-finite residual fails the Armijo test
+                if np.linalg.norm(_stack_real(f_new)) <= (1.0 - 1e-4 * t) * base:
+                    jacobian_evals += 1
+                    jac_new = _reduced_jacobian(stage, z_map, y_new)
+                    if jac_new is not None:
+                        break
+                t *= 0.5
+                if t < 2.0 ** -40:
+                    outcome = "line search stalled"
+                    raise SolverError(
+                        f"line search stalled at residual {fnorm:.3e}",
+                        best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
+                        history=history)
+            y, f, jac = y_new, f_new, jac_new
+            fnorm = np.max(np.abs(f))
+        if fnorm <= tol:
+            outcome = "converged"
+            return pattern.decode(y)
+        outcome = "iteration limit"
+        raise SolverError(
+            f"no convergence in {max_iter} iterations (residual {fnorm:.3e})",
+            best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
+            history=history)
+    finally:
+        _log.debug("Gauss-Newton stage at 2N=%(two_n)d: %(outcome)s after %(iterations)d "
+                   "iterations, %(residual_evals)d residual and %(jacobian_evals)d "
+                   "Jacobian evaluations, residual %(residual).3e",
+                   {"two_n": params.two_n, "outcome": outcome, "iterations": iterations,
+                    "residual_evals": residual_evals, "jacobian_evals": jacobian_evals,
+                    "residual": fnorm})
 
 
 def default_spread_profile(two_n: int, scale: float = 0.1) -> tuple:
@@ -420,13 +489,17 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
     for β-carrying patterns, seed-β variants, since β sits just above the
     2-string line), keeps every certified solution matching the seed's
     inventory, and returns the lowest-energy one.  homotopy=None attempts a
-    single direct solve at params.theta_bar.  Returned roots carry a
-    certified raw residual <= tol.  On failure the SolverError carries the
-    residual history of the last attempt.
+    single direct solve at params.theta_bar; an integer homotopy below 1
+    raises ParameterError.  Returned roots carry a certified raw residual
+    <= tol.  On failure the SolverError carries the residual history of the
+    last attempt.  Each Gauss-Newton stage logs its iteration and
+    evaluation counts at DEBUG level on the "competing_chain.bae" logger.
     """
     if len(seed.z) != params.two_n + 1:
         raise ParameterError(f"seed carries {len(seed.z)} representatives, "
                              f"expected {params.two_n + 1}")
+    if homotopy is not None and homotopy < 1:
+        raise ParameterError(f"homotopy needs at least one step, got {homotopy}")
     pattern = _pattern_from_roots(seed, params)
     seed_tag = classify_pattern(seed, params).regime
 
@@ -487,7 +560,8 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
         if _ladder_settled(found):
             break
     if not found:
-        raise SolverError(f"all homotopy schedules failed: {last_error}",
+        failed = "direct solve failed" if homotopy is None else "all homotopy schedules failed"
+        raise SolverError(f"{failed}: {last_error}",
                           best_roots=getattr(last_error, "best_roots", None),
                           history=getattr(last_error, "history", None))
     found.sort(key=lambda item: item[0])

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -102,13 +103,14 @@ def test_closed_form_jacobian_matches_central_differences(regime, spread, regime
         pr = pr.with_theta_bar(default_spread_profile(8))
     pattern = bae._seed_pattern(regime, pr)
     z_map, y = pattern.z_map(), pattern.encode()
-    _, jac = bae._reduced_system(z_map, pr, y)
+    stage = bae._Stage.of(pr)
+    jac = bae._reduced_jacobian(stage, z_map, y)
     fd = np.empty_like(jac)
     for i in range(len(y)):
         step = np.zeros(len(y))
         step[i] = 1e-6 * (1.0 + abs(y[i]))
-        diff = (bae._reduced_system(z_map, pr, y + step)[0]
-                - bae._reduced_system(z_map, pr, y - step)[0])
+        diff = (stage.residual(z_map @ np.abs(y + step))
+                - stage.residual(z_map @ np.abs(y - step)))
         diff -= 2j * np.pi * np.round(diff.imag / (2.0 * np.pi))  # log rows live mod 2πi
         fd[:, i] = np.concatenate([diff.real, diff.imag]) / (2.0 * step[i])
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
@@ -242,3 +244,104 @@ def test_ground_state_scan_stops_at_first_failed_warm_size(monkeypatch):
     assert calls == [(8, bae.HOMOTOPY_STEPS), (10, None)]
     assert info.value.__cause__ is injected
     assert info.value.best_roots is marker and info.value.history == [0.5]
+
+
+def _uncached_residual(z, params):
+    # the solver residual rebuilt from params on every call, as the
+    # certificate's helpers compute it
+    groups = bae._theta_groups(params.theta_bar)
+    x = np.asarray([1j * v + params.a for v, mult in groups for _ in range(mult)])
+    r = np.asarray([k for _, mult in groups for k in range(mult)], dtype=int)
+    lhs, rhs = bae._fused_logs(x, r, z, params)
+    scale = bae.JET_SCALE ** r
+    rows = np.where(r == 0, bae._principal_log(lhs - rhs), scale * (lhs - rhs))
+    lam0, a0 = bae._lambda_zero_logs(z, params)
+    return np.append(rows, bae._principal_log(lam0 - a0))
+
+
+@pytest.mark.parametrize("spread", [False, True])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_stage_residual_equals_uncached_evaluation(regime, spread, regime_points):
+    p, qb = regime_points[regime]
+    pr = ModelParams.from_q_bar(8, 0.66, p, qb, 1.2)
+    if spread:
+        pr = pr.with_theta_bar(default_spread_profile(8))
+    z = bae._seed_pattern(regime, pr).z_reps()
+    stage = bae._Stage.of(pr)
+    assert np.array_equal(stage.residual(z), _uncached_residual(z, pr))
+    lhs, rhs = bae._fused_logs(stage.x, stage.r, z, pr)
+    assert np.array_equal(stage.rhs, rhs)
+    assert stage.a0 == bae._lambda_zero_logs(z, pr)[1]
+
+
+@pytest.mark.parametrize("theta_bar", [
+    (0.0,) * 8,
+    (0.1, 0.1, 0.1, -0.2, -0.2, 0.3, 0.4, 0.5),
+    default_spread_profile(8),
+])
+def test_log_jets_match_the_closed_form_rows(theta_bar, params_fig4):
+    # each row is log f at r = 0 and the inverse-power sum at r >= 1
+    pr = params_fig4.with_theta_bar(theta_bar)
+    stage = bae._Stage.of(pr)
+    t = bae._lambda_zeros(bae._seed_pattern("V", pr).z_reps())
+    w = np.ones(len(t))
+    d = stage.x[:, None] - t
+    rr = stage.r[:, None]
+    terms = np.where(rr == 0, np.log(d), (-1.0) ** (rr - 1) * d ** -rr / np.maximum(rr, 1))
+    expected = np.where(stage.r == 0, np.log(2.0), 0.0) + terms @ w
+    assert np.array_equal(bae._log_jets(stage.x, stage.r, 2.0, t, w), expected)
+
+
+def test_non_finite_jacobian_rejects_an_accepted_trial(monkeypatch, params_fig4):
+    # the first trial passes the Armijo test but its Jacobian is refused:
+    # the line search halves the step instead of accepting the point
+    pattern = bae._seed_pattern("V", params_fig4)
+    pr = params_fig4.with_theta_bar(
+        default_spread_profile(8, scale=bae._matched_spread_scale(pattern)))
+    points = []
+    jacobian = bae._reduced_jacobian
+
+    def refuse_first_trial(stage, z_map, y):
+        points.append(y.copy())
+        return None if len(points) == 2 else jacobian(stage, z_map, y)
+
+    monkeypatch.setattr(bae, "_reduced_jacobian", refuse_first_trial)
+    bae._gauss_newton(pattern, pr, tol=1e-11, max_iter=200, history=[])
+    y0, first, second = points[:3]
+    assert np.allclose(second - y0, 0.5 * (first - y0), rtol=0, atol=1e-15)
+
+
+def test_direct_scan_failure_names_the_direct_solve():
+    # regime V continues to 2N=48; the direct solve at 2N=50 stalls
+    base = ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2)
+    with pytest.raises(SolverError, match="2N=50: direct solve failed: line search stalled") as info:
+        ground_state_scan(base, [8, 50])
+    cause = info.value.__cause__
+    assert isinstance(cause, SolverError)
+    assert str(cause).startswith("direct solve failed: ")
+    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 50
+    assert info.value.history == cause.history and len(cause.history) > 1
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_homotopy_below_one_step_is_refused(steps, params_fig4):
+    with pytest.raises(ParameterError, match="homotopy"):
+        solve_bae(seed_roots("V", params_fig4), params_fig4, homotopy=steps)
+
+
+def test_gauss_newton_stages_log_their_counts_at_debug(caplog, regime_points):
+    logger = logging.getLogger("competing_chain.bae")
+    assert not logger.handlers
+    p, qb = regime_points["II"]
+    pr = ModelParams.from_q_bar(8, 0.66, p, qb, 1.2)
+    solve_bae(seed_roots("II", pr), pr)
+    assert not [rec for rec in caplog.records if rec.name == logger.name]
+    with caplog.at_level(logging.DEBUG, logger=logger.name):
+        solve_bae(seed_roots("II", pr), pr)
+    stages = [rec.args for rec in caplog.records if rec.name == logger.name]
+    assert stages and all(rec.levelno == logging.DEBUG for rec in caplog.records)
+    assert {s["outcome"] for s in stages} <= {"converged", "line search stalled",
+                                               "iteration limit", "non-finite seed"}
+    assert stages[-1]["outcome"] == "converged" and stages[-1]["residual"] <= 1e-11
+    for s in stages:
+        assert s["jacobian_evals"] <= s["iterations"] + 1 <= s["residual_evals"]
