@@ -256,15 +256,25 @@ def _lambda_zeros(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z - 0.5, -z - 0.5])
 
 
-def _log_lambda(u: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Taylor rows of log Λ."""
-    return _log_jets(u, r, 2.0, _lambda_zeros(z), np.ones(2 * len(z)))
+def _lambda_table(z: np.ndarray):
+    """(c, ζ, m) with Λ(u) = c ∏_k (u - ζ_k)^{m_k}, the form _log_jets takes.
+
+    Built once per root vector and shared by every Λ row evaluated at it.
+    """
+    t = _lambda_zeros(z)
+    return 2.0, t, np.ones(len(t))
 
 
-def _log_lambda_grad(u: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _log_lambda(u: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
+    """Taylor rows of log Λ from its _lambda_table."""
+    return _log_jets(u, r, *lam)
+
+
+def _log_lambda_grad(u: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
     """z-derivatives of the _log_lambda rows."""
-    n = len(z)
-    grad = _jet_gradient(u, r, _lambda_zeros(z), np.ones(2 * n))
+    _, t, w = lam
+    n = len(t) // 2
+    grad = _jet_gradient(u, r, t, w)
     return grad[:, :n] - grad[:, n:]
 
 
@@ -283,12 +293,13 @@ _ZERO = np.zeros(1, dtype=int)
 
 def _fused_logs(x: np.ndarray, r: np.ndarray, z: np.ndarray, params: ModelParams):
     """Taylor rows at x of log Λ(x)Λ(x-1) and of log a(x)d(x-1) = log a(x)a(-x)."""
-    return _log_lambda(x, r, z) + _log_lambda(x - 1.0, r, z), _log_ad_rows(x, r, params)
+    lam = _lambda_table(z)
+    return _log_lambda(x, r, lam) + _log_lambda(x - 1.0, r, lam), _log_ad_rows(x, r, params)
 
 
 def _lambda_zero_logs(z: np.ndarray, params: ModelParams):
     """log Λ(0) and the required log a(0) = log 2pq∏(1-θ_j-a)(1+θ_j+a)."""
-    return _log_lambda(_ZERO, _ZERO, z)[0], _log_a_rows(_ZERO, _ZERO, params)[0]
+    return _log_lambda(_ZERO, _ZERO, _lambda_table(z))[0], _log_a_rows(_ZERO, _ZERO, params)[0]
 
 
 def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
@@ -357,14 +368,16 @@ class _Stage:
         L^(r)(x) s^r / r!, then the log-form Λ(0) defect.  The raw ratio
         form is used only for the final certification.
         """
-        diff = _log_lambda(self.x, self.r, z) + _log_lambda(self.x - 1.0, self.r, z) - self.rhs
+        lam = _lambda_table(z)
+        diff = _log_lambda(self.x, self.r, lam) + _log_lambda(self.x - 1.0, self.r, lam) - self.rhs
         rows = np.where(self.r == 0, _principal_log(diff), self.scale * diff)
-        return np.append(rows, _principal_log(_log_lambda(_ZERO, _ZERO, z)[0] - self.a0))
+        return np.append(rows, _principal_log(_log_lambda(_ZERO, _ZERO, lam)[0] - self.a0))
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Exact z-derivative of residual(z)."""
-        dlhs = _log_lambda_grad(self.x, self.r, z) + _log_lambda_grad(self.x - 1.0, self.r, z)
-        return np.vstack([self.scale[:, None] * dlhs, _log_lambda_grad(_ZERO, _ZERO, z)])
+        lam = _lambda_table(z)
+        dlhs = _log_lambda_grad(self.x, self.r, lam) + _log_lambda_grad(self.x - 1.0, self.r, lam)
+        return np.vstack([self.scale[:, None] * dlhs, _log_lambda_grad(_ZERO, _ZERO, lam)])
 
 
 # ---------------------------------------------------------------------------

@@ -176,25 +176,40 @@ def _cosine_half_line_integral(g, omega: float, decay: float, spec: QuadratureSp
 # root densities (Fourier space)
 # ---------------------------------------------------------------------------
 
+def _xp(k):
+    """math for a Python float k, numpy otherwise.
+
+    QUADPACK calls an adaptive integrand with one float at a time, where a
+    math call costs a fraction of a numpy ufunc call on a 0-d array.  Only
+    integrands whose values no CLI file prints take this path: numpy's exp
+    and tanh differ from libm's in the last bits on some inputs.
+    """
+    return math if isinstance(k, float) else np
+
+
 def _density(k, params: ModelParams, extra=None):
     """Shared form of the regime densities, (num - extra) / (2N (e1 + e3)).
 
     num holds the bulk and boundary back-flow terms common to every pattern;
-    extra(k, |k|, e1), if given, subtracts the pattern's own kernel images.
-    With e_n = exp(-n|k|/2), e2 and e3 are formed from e1.
+    extra(xp, k, |k|, e1), if given, subtracts the pattern's own kernel
+    images.  With e_n = exp(-n|k|/2), e2 and e3 are formed from e1.  A float
+    k gives a Python complex, an array k a complex ndarray.
     """
-    k = np.asarray(k, dtype=float)
-    ak = np.abs(k)
+    xp = _xp(k)
+    if xp is np:
+        k = np.asarray(k, dtype=float)
+    ak = abs(k)
     n = params.n
-    e1 = np.exp(-0.5 * ak)
+    e1 = xp.exp(-0.5 * ak)
     e2 = e1 * e1
-    num = (4.0 * n * e2 * np.cos(params.a_bar * k)
+    num = (4.0 * n * e2 * xp.cos(params.a_bar * k)
            + e2 - e1
-           - np.exp(-(abs(params.p) + 1.0) * ak)
-           - np.exp(-(abs(params.q_bar) + 1.0) * ak))
+           - xp.exp(-(abs(params.p) + 1.0) * ak)
+           - xp.exp(-(abs(params.q_bar) + 1.0) * ak))
     if extra is not None:
-        num = num - extra(k, ak, e1)
-    return (num / (2.0 * n * e1 * (1.0 + e2))).astype(complex)
+        num = num - extra(xp, k, ak, e1)
+    out = num / (2.0 * n * e1 * (1.0 + e2))
+    return complex(out) if xp is math else out.astype(complex)
 
 
 def density_regime1(k, params: ModelParams, alpha: float = math.inf):
@@ -207,15 +222,16 @@ def density_regime1(k, params: ModelParams, alpha: float = math.inf):
     caller's convenience.
     """
     if math.isfinite(alpha):
-        return _density(k, params, lambda k, ak, e1: 2.0 * e1 * np.cos(alpha * k))
+        return _density(k, params,
+                        lambda xp, k, ak, e1: 2.0 * e1 * xp.cos(alpha * k))
     return _density(k, params)
 
 
 def density_regime2(k, params: ModelParams, beta: float):
     """Fourier density for patterns carrying a pure imaginary pair ±iβ."""
-    return _density(k, params, lambda k, ak, e1: (
-        np.exp(-0.5 * abs(2.0 * beta + 1.0) * ak)
-        + np.exp(-0.5 * abs(2.0 * beta - 1.0) * ak)))
+    return _density(k, params, lambda xp, k, ak, e1: (
+        xp.exp(-0.5 * abs(2.0 * beta + 1.0) * ak)
+        + xp.exp(-0.5 * abs(2.0 * beta - 1.0) * ak)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +285,8 @@ def bulk_energy_per_site(params: ModelParams, spec: QuadratureSpec = DEFAULT_SPE
     ab = params.a_bar
 
     def f(k):
-        return np.tanh(0.5 * k) * np.exp(-k) * np.cos(ab * k) ** 2
+        xp = _xp(k)
+        return xp.tanh(0.5 * k) * xp.exp(-k) * xp.cos(ab * k) ** 2
     value, _ = half_line_integral(f, decay=1.0, spec=spec)
     return -(2.0 * ab ** 2 + 1.0) - (1.0 + 4.0 * ab ** 2) * value
 
@@ -285,12 +302,17 @@ def ground_energy_density(params: ModelParams, rho, spec: QuadratureSpec = DEFAU
     pref = 1.0 + 4.0 * ab ** 2
 
     def f(k):
-        vals = np.asarray(rho(k))
-        imag = abs(vals.imag).max()
+        xp = _xp(k)
+        if xp is math:
+            vals = complex(rho(k))
+            imag = abs(vals.imag)
+        else:
+            vals = np.asarray(rho(k))
+            imag = abs(vals.imag).max()
         if imag > 1e-10:
             warnings.warn(f"density has imaginary part {imag:.3e}")
-        e = np.exp(-0.5 * k)
-        return e * (1.0 - e * e) * np.cos(ab * k) * vals.real
+        e = xp.exp(-0.5 * k)
+        return e * (1.0 - e * e) * xp.cos(ab * k) * vals.real
     value, _ = half_line_integral(f, decay=0.5, spec=spec, amplitude=4.0)
     rational = (abs(params.p) / (ab ** 2 + params.p ** 2)
                 + abs(params.q_bar) / (ab ** 2 + params.q_bar ** 2))
@@ -350,9 +372,10 @@ def string_excitation_energy(n: int, z_tilde: float, params: ModelParams,
     ab = params.a_bar
 
     def f(k):
-        return (np.tanh(0.5 * k)
-                * (np.exp(-0.5 * (n + 1) * k) + np.exp(-0.5 * (n - 1) * k))
-                * np.cos(ab * k) * np.cos(z_tilde * k))
+        xp = _xp(k)
+        return (xp.tanh(0.5 * k)
+                * (xp.exp(-0.5 * (n + 1) * k) + xp.exp(-0.5 * (n - 1) * k))
+                * xp.cos(ab * k) * xp.cos(z_tilde * k))
     value, _ = half_line_integral(f, decay=0.5 * (n - 1), spec=spec)
     integral = 2.0 * value
     rational = 0.0

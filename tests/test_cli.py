@@ -84,6 +84,21 @@ def test_bae_and_classify(tmp_path):
     assert len(cdoc["pairs_n2"]) == 8
 
 
+BAE_AT_DEFAULTS_XFAIL_REASON = (
+    "known solver defect: at the ModelParams defaults (a_bar=0, p=q=1, xi=0) "
+    "`competing-chain bae --two-n 8` exits 1 with \"all homotopy schedules "
+    "failed: converged off-pattern (expected inventory V)\"")
+
+
+@pytest.mark.xfail(strict=True, reason=BAE_AT_DEFAULTS_XFAIL_REASON)
+def test_bae_solves_at_parameter_defaults(tmp_path):
+    roots = tmp_path / "roots.json"
+    assert run(["bae", "--two-n", "8", "--out", str(roots)]) == 0
+    doc = json.loads(roots.read_text())
+    assert doc["regime"] == "V"
+    assert doc["residual"] <= 1e-10
+
+
 def test_thermo_json(tmp_path):
     out = tmp_path / "thermo.json"
     code = run(["thermo", "--two-n", "8", "--a-bar", "0.6", "--p", "1.0",

@@ -12,12 +12,27 @@ from competing_chain import (ModelParams, QuadratureSpec, a_kernel, b_kernel,
                              boundary_excitation_energy, half_line_integral,
                              ground_state_scan, thermo)
 from competing_chain.errors import DivergenceError, DomainError, QuadratureError
+from conftest import REGIME_POINTS
 
 
 def _pr(a_bar=0.0, p=1.0, q_bar=None, q=1.0, xi=0.0, two_n=8):
     if q_bar is not None:
         return ModelParams.from_q_bar(two_n, a_bar, p, q_bar, xi)
     return ModelParams(two_n=two_n, a_bar=a_bar, p=p, q=q, xi=xi)
+
+
+_REGIME_PARAMS = {regime: ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
+                  for regime, (p, q_bar) in REGIME_POINTS.items()}
+
+# the quantities whose adaptive integrands compute in float arithmetic
+_QUADRATURES = {
+    "ground_density_1": lambda pr, spec: ground_energy_density(
+        pr, lambda k: density_regime1(k, pr), spec),
+    "ground_density_2": lambda pr, spec: ground_energy_density(
+        pr, lambda k: density_regime2(k, pr, beta=0.9), spec),
+    "bulk_energy": lambda pr, spec: bulk_energy_per_site(pr, spec),
+    "string": lambda pr, spec: string_excitation_energy(3, 0.7, pr, spec),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +136,58 @@ def test_density_regime2_beta_terms():
     assert np.allclose(diff.real, expected, atol=1e-13)
 
 
+_DENSITIES = {
+    "regime1_inf": lambda k, pr: density_regime1(k, pr),
+    "regime1_alpha": lambda k, pr: density_regime1(k, pr, alpha=1.3),
+    "regime2": lambda k, pr: density_regime2(k, pr, beta=0.9),
+}
+
+
+@pytest.mark.parametrize("density", _DENSITIES.values(), ids=_DENSITIES)
+@pytest.mark.parametrize("regime", REGIME_POINTS)
+def test_density_float_path_matches_array_path(regime, density):
+    # a float k is evaluated in math (QUADPACK's scalar calls), an array in
+    # numpy (Gauss grids); the two differ by at most libm-vs-SIMD rounding
+    pr = _REGIME_PARAMS[regime]
+    k = np.linspace(0.0, 60.0, 200)
+    grid = density(k, pr)
+    assert isinstance(grid, np.ndarray) and grid.dtype == complex
+    for point, ref in zip(k.tolist(), grid):
+        value = density(point, pr)
+        assert type(value) is complex
+        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
+
+
+def test_adaptive_ground_energy_density_calls_rho_with_floats():
+    pr = _REGIME_PARAMS["V"]
+    seen = []
+
+    def rho(k):
+        value = density_regime2(k, pr, beta=0.9)
+        seen.append((type(k), type(value)))
+        return value
+    ground_energy_density(pr, rho, QuadratureSpec())
+    assert len(seen) > 100
+    assert set(seen) == {(float, complex)}
+
+
+@pytest.mark.parametrize("quantity", _QUADRATURES.values(), ids=_QUADRATURES)
+def test_adaptive_integrands_return_floats(monkeypatch, quantity):
+    # QUADPACK's float argument stays a float through the integrand
+    returned = []
+    quad = thermo.quad
+
+    def spy(f, *args, **kwargs):
+        def recorded(k):
+            value = f(k)
+            returned.append((type(k), type(value)))
+            return value
+        return quad(recorded, *args, **kwargs)
+    monkeypatch.setattr(thermo, "quad", spy)
+    quantity(_REGIME_PARAMS["V"], QuadratureSpec())
+    assert returned and set(returned) == {(float, float)}
+
+
 # ---------------------------------------------------------------------------
 # surface energy
 # ---------------------------------------------------------------------------
@@ -193,6 +260,16 @@ def test_quadrature_methods_agree():
     adaptive = surface_energy(pr, QuadratureSpec(method="adaptive"))
     gauss = surface_energy(pr, QuadratureSpec(method="gauss"))
     assert abs(adaptive.value - gauss.value) < 1e-10
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("quantity", _QUADRATURES.values(), ids=_QUADRATURES)
+@pytest.mark.parametrize("regime", REGIME_POINTS)
+def test_adaptive_matches_gauss_at_regime_points(regime, quantity, tol):
+    pr = _REGIME_PARAMS[regime]
+    adaptive = quantity(pr, QuadratureSpec(abs_tol=tol))
+    gauss = quantity(pr, QuadratureSpec(abs_tol=tol, method="gauss"))
+    assert abs(adaptive - gauss) <= tol
 
 
 def _per_panel_gauss(f, a, b, panels):
