@@ -40,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .errors import (ConsistencyError, DegeneracyError, DomainError,
                      ParameterError, SolverError)
 from .params import ModelParams, c0_constant
 from .spectrum import ZeroRootSet, canonical_root, _sorted_roots
+from .thermo import a_kernel
 from .transfer import a_table
 
 REGIMES = ("I", "II", "III", "IV", "V", "VI")
@@ -62,6 +63,10 @@ CLASSIFY_TOL_SCALE = 1e-4     # axis tolerance per root, times (1 + |root|)
 STRING_TOL = 0.35             # |2 Im z̄ - n| for an n-string member
 BOUNDARY_TOL = 0.1            # distance to the asymptotic boundary-pair heights
 ENERGY_IMAG_TOL = 1e-8        # largest imaginary part of a consistent root energy
+HALF_MARGIN = 0.02            # least distance of a pure-imaginary seed from z̄ = i/2
+THETA_GROUP_TOL = 1e-12       # θ̄ values closer than this form one confluent group
+SPREAD_SCALE_FLOOR = 0.1      # smallest seed-matched homotopy start scale
+LADDER_AGREE_TOL = 1e-8       # largest root distance of two hits of the same minimum
 
 _log = logging.getLogger(__name__)
 
@@ -214,10 +219,10 @@ def _seed_pattern(regime, params) -> _Pattern:
     return _Pattern(centers, heights, spec.boundary, boundary, alpha, beta)
 
 
-def _avoid_half(value: float, margin: float = 0.02) -> float:
+def _avoid_half(value: float) -> float:
     """Nudge a pure-imaginary seed off z̄ = i/2, a zero of the Λ(0) factors."""
-    if abs(value - 0.5) < margin:
-        return 0.5 + margin if value >= 0.5 else 0.5 - margin
+    if abs(value - 0.5) < HALF_MARGIN:
+        return 0.5 + HALF_MARGIN if value >= 0.5 else 0.5 - HALF_MARGIN
     return value
 
 
@@ -251,27 +256,18 @@ def _jet_gradient(u: np.ndarray, r: np.ndarray, t: np.ndarray, w: np.ndarray) ->
         return w * (-1.0) ** (rr + 1) * (u[:, None] - t) ** -(rr + 1)
 
 
-def _lambda_zeros(z: np.ndarray) -> np.ndarray:
-    """Zeros of Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2)."""
-    return np.concatenate([z - 0.5, -z - 0.5])
-
-
 def _lambda_table(z: np.ndarray):
     """(c, ζ, m) with Λ(u) = c ∏_k (u - ζ_k)^{m_k}, the form _log_jets takes.
 
-    Built once per root vector and shared by every Λ row evaluated at it.
+    Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2).  Built once per root vector
+    and shared by every Λ row evaluated at it.
     """
-    t = _lambda_zeros(z)
+    t = np.concatenate([z - 0.5, -z - 0.5])
     return 2.0, t, np.ones(len(t))
 
 
-def _log_lambda(u: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
-    """Taylor rows of log Λ from its _lambda_table."""
-    return _log_jets(u, r, *lam)
-
-
 def _log_lambda_grad(u: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
-    """z-derivatives of the _log_lambda rows."""
+    """z-derivatives of the _log_jets rows of Λ."""
     _, t, w = lam
     n = len(t) // 2
     grad = _jet_gradient(u, r, t, w)
@@ -294,12 +290,12 @@ _ZERO = np.zeros(1, dtype=int)
 def _fused_logs(x: np.ndarray, r: np.ndarray, z: np.ndarray, params: ModelParams):
     """Taylor rows at x of log Λ(x)Λ(x-1) and of log a(x)d(x-1) = log a(x)a(-x)."""
     lam = _lambda_table(z)
-    return _log_lambda(x, r, lam) + _log_lambda(x - 1.0, r, lam), _log_ad_rows(x, r, params)
+    return _log_jets(x, r, *lam) + _log_jets(x - 1.0, r, *lam), _log_ad_rows(x, r, params)
 
 
 def _lambda_zero_logs(z: np.ndarray, params: ModelParams):
     """log Λ(0) and the required log a(0) = log 2pq∏(1-θ_j-a)(1+θ_j+a)."""
-    return _log_lambda(_ZERO, _ZERO, _lambda_table(z))[0], _log_a_rows(_ZERO, _ZERO, params)[0]
+    return _log_jets(_ZERO, _ZERO, *_lambda_table(z))[0], _log_a_rows(_ZERO, _ZERO, params)[0]
 
 
 def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
@@ -321,12 +317,12 @@ def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
     return np.append(out, np.exp(lam0 - a0) - 1.0)
 
 
-def _theta_groups(theta_bar, tol: float = 1e-12):
+def _theta_groups(theta_bar):
     """Distinct inhomogeneity values with multiplicities, in sorted order."""
     vals = sorted(theta_bar)
     groups = []
     for v in vals:
-        if groups and abs(v - groups[-1][0]) <= tol:
+        if groups and abs(v - groups[-1][0]) <= THETA_GROUP_TOL:
             groups[-1][1] += 1
         else:
             groups.append([v, 1])
@@ -369,9 +365,9 @@ class _Stage:
         form is used only for the final certification.
         """
         lam = _lambda_table(z)
-        diff = _log_lambda(self.x, self.r, lam) + _log_lambda(self.x - 1.0, self.r, lam) - self.rhs
+        diff = _log_jets(self.x, self.r, *lam) + _log_jets(self.x - 1.0, self.r, *lam) - self.rhs
         rows = np.where(self.r == 0, _principal_log(diff), self.scale * diff)
-        return np.append(rows, _principal_log(_log_lambda(_ZERO, _ZERO, lam)[0] - self.a0))
+        return np.append(rows, _principal_log(_log_jets(_ZERO, _ZERO, *lam)[0] - self.a0))
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Exact z-derivative of residual(z)."""
@@ -471,18 +467,17 @@ def default_spread_profile(two_n: int, scale: float = 0.1) -> tuple:
     return tuple(scale * (j - n - 0.5) for j in range(1, two_n + 1))
 
 
-def _matched_spread_scale(pattern: _Pattern, floor: float = 0.1) -> float:
+def _matched_spread_scale(pattern: _Pattern) -> float:
     """Homotopy start scale matched to the seed's center ladder.
 
     Strong inhomogeneity pins each string center to its θ̄ node, so starting
     the ramp where the node ladder coincides with the seed centers puts the
     seed inside the ground-state basin; a uniform ladder c_m = z(2m-1)/(2M)
-    corresponds to scale z/M.
+    corresponds to scale z/M.  Every ground-state inventory has at least
+    2N-2 >= 2 string centers, so M >= 1.
     """
     m = len(pattern.centers)
-    if m == 0:
-        return floor
-    return max(floor, float(np.max(pattern.centers)) / (m - 0.5))
+    return max(SPREAD_SCALE_FLOOR, float(np.max(pattern.centers)) / (m - 0.5))
 
 
 RETRY_SPREAD_SCALES = (0.4, 0.25, 0.55, 0.15, 0.8, 0.1)
@@ -513,8 +508,9 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
                              f"expected {params.two_n + 1}")
     if homotopy is not None and homotopy < 1:
         raise ParameterError(f"homotopy needs at least one step, got {homotopy}")
-    pattern = _pattern_from_roots(seed, params)
-    seed_tag = classify_pattern(seed, params).regime
+    seed_cls = classify_pattern(seed, params)
+    pattern = _pattern_from_roots(seed, seed_cls)
+    seed_tag = seed_cls.regime
 
     attempts = []  # (starting pattern, θ̄ stages)
     if homotopy is None:
@@ -538,10 +534,7 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
                 stages = [tuple(start + (target - start) * k / steps)
                           for k in range(steps + 1)]
                 for b0 in betas:
-                    p0 = pattern if b0 is None else _Pattern(
-                        pattern.centers.copy(), pattern.heights.copy(),
-                        pattern.boundary_tags, pattern.boundary.copy(),
-                        pattern.alpha, b0)
+                    p0 = pattern if b0 is None else replace(pattern, beta=b0)
                     attempts.append((p0, stages))
 
     found: list = []  # (surrogate energy, roots)
@@ -581,7 +574,7 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
     return found[0][1]
 
 
-def _ladder_settled(found, agree_tol: float = 1e-8) -> bool:
+def _ladder_settled(found) -> bool:
     """Stop retrying once the current minimum was reached at least twice."""
     if len(found) < 2:
         return False
@@ -589,7 +582,7 @@ def _ladder_settled(found, agree_tol: float = 1e-8) -> bool:
     hits = 0
     for _, roots in found:
         dz = np.max(np.abs(np.asarray(roots.z) - np.asarray(rmin.z)))
-        if dz < agree_tol:
+        if dz < LADDER_AGREE_TOL:
             hits += 1
     return hits >= 2
 
@@ -602,9 +595,8 @@ def _check_collisions(roots: ZeroRootSet) -> None:
         raise DegeneracyError(f"root collision: minimum separation {np.min(diffs):.3e}")
 
 
-def _pattern_from_roots(roots: ZeroRootSet, params: ModelParams) -> _Pattern:
-    """Rebuild reduced coordinates from a structured root set."""
-    cls = classify_pattern(roots, params)
+def _pattern_from_roots(roots: ZeroRootSet, cls: RootPattern) -> _Pattern:
+    """Rebuild reduced coordinates from a structured root set and its classification."""
     if cls.extra_strings or cls.boundary_strings or cls.extra_real or cls.unmatched:
         raise ParameterError("seed root set is not a ground-state inventory")
     centers = []
@@ -697,7 +689,7 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
                 raise SolverError(
                     f"size continuation lost the ground state at 2N={two_n}",
                     best_roots=sol)
-        prev = (_pattern_from_roots(sol, pr), two_n, energy)
+        prev = (_pattern_from_roots(sol, classify_pattern(sol, pr)), two_n, energy)
         if two_n in requested:
             results.append((two_n, energy, sol))
     return results
@@ -842,16 +834,12 @@ def _match_ground_inventory(pat: RootPattern, imag_pos, real_pos, params):
 # energy
 # ---------------------------------------------------------------------------
 
-def _a1(w) -> complex:
-    return (1.0 / (2.0 * math.pi)) / (w * w + 0.25)
-
-
 def _root_energy_sum(roots: ZeroRootSet, a_bar: float) -> complex:
     """π(1+4ā²) Σ_l [a_1(z̄_l-ā) + a_1(z̄_l+ā)] over the representatives, any θ̄."""
     total = 0.0 + 0.0j
     for z in roots.z:
         w = -1j * z  # rotated root z̄
-        total += _a1(w - a_bar) + _a1(w + a_bar)
+        total += a_kernel(w - a_bar, 1) + a_kernel(w + a_bar, 1)
     return math.pi * (1.0 + 4.0 * a_bar ** 2) * total
 
 

@@ -33,6 +33,7 @@ from .transfer import (hamiltonian_from_transfer, transfer_commutator_residual,
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+VERIFY_SAMPLES = 100      # random spectral points per algebraic identity
 
 
 def _fmt(x: float) -> str:
@@ -71,8 +72,7 @@ def _emit(text: str, out_path) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool,
-                   samples: int = 100):
+def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool):
     rng = np.random.default_rng(20240801)
     checks = []
 
@@ -85,14 +85,14 @@ def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool,
         })
 
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(VERIFY_SAMPLES):
         u = rng.uniform(-5, 5, 3) + 1j * rng.uniform(-5, 5, 3)
         worst = max(worst, algebra.yang_baxter_residual(*u))
     add("yang_baxter", worst, 1e-12 * tol_scale)
 
     worst_re = 0.0
     worst_dre = 0.0
-    for _ in range(samples):
+    for _ in range(VERIFY_SAMPLES):
         # moderate spectral points keep the absolute max-norm thresholds
         # meaningful (entries grow like the fourth power of the arguments)
         lam, u = rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1.5, 1.5, 2)
@@ -114,11 +114,10 @@ def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool,
         transfer_commutator_residual(u1, u2, params), 1e-10 * tol_scale)
     add("transfer_crossing", crossing_residual(0.123, params), 1e-10 * tol_scale)
 
-    if params.two_n <= 8:
-        # nodes with equal θ̄_j carry the same equation: one site per value
-        sites = dict(zip(params.theta_bar, range(1, params.two_n + 1))).values()
-        worst_id = max(transfer_identity_residual(j, params) for j in sites)
-        add("transfer_fusion_identity", worst_id, 1e-8 * tol_scale)
+    # nodes with equal θ̄_j carry the same equation: one site per value
+    sites = dict(zip(params.theta_bar, range(1, params.two_n + 1))).values()
+    worst_id = max(transfer_identity_residual(j, params) for j in sites)
+    add("transfer_fusion_identity", worst_id, 1e-8 * tol_scale)
 
     return checks
 
@@ -229,16 +228,19 @@ def cmd_thermo(args) -> int:
     return EXIT_OK
 
 
-SCAN_QUANTITIES = ("surface", "eb0", "bulk_excitation", "boundary_excitation")
+_SCAN_HEADERS = {
+    "surface": ["E_b", "e_b_p", "e_b_q", "e_b0", "est_error"],
+    "eb0": ["e_b0", "est_error"],
+    "bulk_excitation": ["delta_e1", "est_error"],
+    "boundary_excitation": ["delta_ep", "est_error"],
+}
+SCAN_QUANTITIES = tuple(_SCAN_HEADERS)
 SCAN_VARIABLES = ("p", "q", "xi", "a_bar", "z_bar")
 
 
 def _scan_row(quantity, var, value, params, spec):
     if var != "z_bar":
-        base = params.to_dict()
-        if var in base:
-            base[var] = value
-        pr = ModelParams.from_dict(base)
+        pr = ModelParams.from_dict({**params.to_dict(), var: value})
     else:
         pr = params
     try:
@@ -254,30 +256,14 @@ def _scan_row(quantity, var, value, params, spec):
         if quantity == "bulk_excitation":
             return (list(thermo._bulk_excitation(value if var == "z_bar" else 0.0,
                                                  pr, spec)), "ok")
-        if quantity == "boundary_excitation":
-            b = value if var in ("p", "q") else pr.p
-            if var == "q":
-                b = ModelParams.from_dict({**pr.to_dict(), "q": value}).q_bar
-            return (list(thermo._boundary_excitation(b, pr, spec)), "ok")
-        raise ParameterError(f"unknown scan quantity {quantity!r}")
+        b = pr.q_bar if var == "q" else pr.p
+        return (list(thermo._boundary_excitation(b, pr, spec)), "ok")
     except CompetingChainError:
         return (None, "divergent")
 
 
-_SCAN_HEADERS = {
-    "surface": ["E_b", "e_b_p", "e_b_q", "e_b0", "est_error"],
-    "eb0": ["e_b0", "est_error"],
-    "bulk_excitation": ["delta_e1", "est_error"],
-    "boundary_excitation": ["delta_ep", "est_error"],
-}
-
-
 def cmd_scan(args) -> int:
     params = _build_params(args)
-    if args.quantity not in SCAN_QUANTITIES:
-        raise ParameterError(f"scan quantity must be one of {SCAN_QUANTITIES}")
-    if args.var not in SCAN_VARIABLES:
-        raise ParameterError(f"scan variable must be one of {SCAN_VARIABLES}")
     try:
         lo, hi, num = args.grid.split(":")
         grid = np.linspace(float(lo), float(hi), int(num))

@@ -73,20 +73,10 @@ class SpectralPolynomial:
     def crossing_defect(self) -> float:
         """Relative coefficient defect of Λ(u) - Λ(-u-1)."""
         c = np.asarray(self.coeffs)
-        reflected = _compose_affine(c, -1.0, -1.0)
+        reflected = nppoly.Polynomial(c)(nppoly.Polynomial([-1.0, -1.0])).coef
+        reflected = np.pad(reflected, (0, len(c) - len(reflected)))  # numpy trims zeros
         scale = max(np.max(np.abs(c)), 1e-300)
         return float(np.max(np.abs(c - reflected)) / scale)
-
-
-def _compose_affine(coeffs: np.ndarray, shift: float, scale: float) -> np.ndarray:
-    """Coefficients of P(shift + scale * u), same length as the input."""
-    out = np.zeros(len(coeffs), dtype=complex)
-    basis = np.array([1.0 + 0.0j])
-    lin = np.array([shift, scale], dtype=complex)
-    for c in coeffs:
-        out[: len(basis)] += c * basis
-        basis = nppoly.polymul(basis, lin)
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,12 +97,12 @@ class ZeroRootSet:
         return np.concatenate([zz, -zz])
 
 
-def canonical_root(z: complex, tol: float = ROOT_ZERO_TOL) -> complex:
+def canonical_root(z: complex) -> complex:
     """Pick the sign-pair representative with Im >= 0 (ties: Re >= 0)."""
     z = complex(z)
-    if z.imag < -tol:
+    if z.imag < -ROOT_ZERO_TOL:
         return -z
-    if abs(z.imag) <= tol and z.real < 0.0:
+    if abs(z.imag) <= ROOT_ZERO_TOL and z.real < 0.0:
         return -z
     return z
 

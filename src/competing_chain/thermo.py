@@ -62,7 +62,6 @@ def b_kernel_fourier(k, n):
 class QuadratureSpec:
     abs_tol: float = 1e-10
     k_max: float | None = None
-    limit: int = 200
     method: str = "adaptive"   # "adaptive" (QUADPACK) or "gauss" (composite GL)
 
     def __post_init__(self):
@@ -90,13 +89,14 @@ class ThermoResult:
             "quadrature": {
                 "abs_tol": self.spec.abs_tol,
                 "k_max": self.spec.k_max,
-                "limit": self.spec.limit,
+                "limit": QUAD_LIMIT,
                 "method": self.spec.method,
             },
         }
 
 
 STRING_FLAG_TOL = 1e-6    # largest |string excitation energy| taken as zero
+QUAD_LIMIT = 200          # most QUADPACK subintervals per integral
 GAUSS_ORDER = 40          # Gauss–Legendre nodes per panel
 GAUSS_BLOCK = 65536       # most nodes handed to the integrand in one call
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -138,10 +138,26 @@ def _cutoff(decay: float, spec: QuadratureSpec, amplitude: float = 1.0):
 
 def _certified(value: float, err: float, tail: float, spec: QuadratureSpec):
     est = 2.0 * abs(err) + 2.0 * tail
+    if not (math.isfinite(value) and math.isfinite(est)):
+        raise QuadratureError(f"non-finite quadrature result {value!r} (estimate {est!r})")
     if est > spec.abs_tol:
         raise QuadratureError(
             f"estimated error {est:.3e} above abs_tol {spec.abs_tol:.1e}")
     return 2.0 * value, est
+
+
+def _adaptive(f, k_max: float, spec: QuadratureSpec, **weight):
+    """QUADPACK (value, error) of f on [0, k_max].
+
+    A float integrand evaluated in math overflows or divides by zero with a
+    Python exception instead of numpy's inf/nan; either is reported as the
+    QuadratureError that _certified raises for a non-finite result.
+    """
+    try:
+        return quad(f, 0.0, k_max, epsabs=0.25 * spec.abs_tol, epsrel=1e-13,
+                    limit=QUAD_LIMIT, **weight)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise QuadratureError(f"non-finite integrand on [0, {k_max:g}]: {exc}") from exc
 
 
 def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
@@ -158,8 +174,7 @@ def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
         value = _gauss_panels(f, 0.0, k_max, panels)
         err = tail  # GL panels of unit width resolve these analytic integrands
     else:
-        value, err = quad(f, 0.0, k_max, epsabs=0.25 * spec.abs_tol,
-                          epsrel=1e-13, limit=spec.limit)
+        value, err = _adaptive(f, k_max, spec)
     return _certified(value, err, tail, spec)
 
 
@@ -167,8 +182,7 @@ def _cosine_half_line_integral(g, omega: float, decay: float, spec: QuadratureSp
     """(2 ∫_0^∞ g(k) cos(ωk) dk, error estimate) by QUADPACK's cosine-weighted
     rule, which integrates the oscillation exactly and samples only g."""
     k_max, tail = _cutoff(decay, spec)
-    value, err = quad(g, 0.0, k_max, weight="cos", wvar=abs(omega),
-                      epsabs=0.25 * spec.abs_tol, epsrel=1e-13, limit=spec.limit)
+    value, err = _adaptive(g, k_max, spec, weight="cos", wvar=abs(omega))
     return _certified(value, err, tail, spec)
 
 
@@ -190,10 +204,12 @@ def _xp(k):
 def _density(k, params: ModelParams, extra=None):
     """Shared form of the regime densities, (num - extra) / (2N (e1 + e3)).
 
-    num holds the bulk and boundary back-flow terms common to every pattern;
-    extra(xp, k, |k|, e1), if given, subtracts the pattern's own kernel
-    images.  With e_n = exp(-n|k|/2), e2 and e3 are formed from e1.  A float
-    k gives a Python complex, an array k a complex ndarray.
+    With e_n = exp(-n|k|/2), num holds the bulk and boundary back-flow terms
+    common to every pattern and extra(xp, k, |k|), if given, the pattern's
+    own kernel images.  Both are written divided by e1, so the quotient is
+    formed over 2N (1 + e2) and stays finite where e1 underflows to 0
+    (|k| > 1490).  A float k gives a Python complex, an array k a complex
+    ndarray.
     """
     xp = _xp(k)
     if xp is np:
@@ -201,14 +217,13 @@ def _density(k, params: ModelParams, extra=None):
     ak = abs(k)
     n = params.n
     e1 = xp.exp(-0.5 * ak)
-    e2 = e1 * e1
-    num = (4.0 * n * e2 * xp.cos(params.a_bar * k)
-           + e2 - e1
-           - xp.exp(-(abs(params.p) + 1.0) * ak)
-           - xp.exp(-(abs(params.q_bar) + 1.0) * ak))
+    num = (4.0 * n * e1 * xp.cos(params.a_bar * k)
+           + e1 - 1.0
+           - xp.exp(-(abs(params.p) + 0.5) * ak)
+           - xp.exp(-(abs(params.q_bar) + 0.5) * ak))
     if extra is not None:
-        num = num - extra(xp, k, ak, e1)
-    out = num / (2.0 * n * e1 * (1.0 + e2))
+        num = num - extra(xp, k, ak)
+    out = num / (2.0 * n * (1.0 + e1 * e1))
     return complex(out) if xp is math else out.astype(complex)
 
 
@@ -222,16 +237,15 @@ def density_regime1(k, params: ModelParams, alpha: float = math.inf):
     caller's convenience.
     """
     if math.isfinite(alpha):
-        return _density(k, params,
-                        lambda xp, k, ak, e1: 2.0 * e1 * xp.cos(alpha * k))
+        return _density(k, params, lambda xp, k, ak: 2.0 * xp.cos(alpha * k))
     return _density(k, params)
 
 
 def density_regime2(k, params: ModelParams, beta: float):
     """Fourier density for patterns carrying a pure imaginary pair ±iβ."""
-    return _density(k, params, lambda xp, k, ak, e1: (
-        xp.exp(-0.5 * abs(2.0 * beta + 1.0) * ak)
-        + xp.exp(-0.5 * abs(2.0 * beta - 1.0) * ak)))
+    return _density(k, params, lambda xp, k, ak: (
+        xp.exp(-(abs(beta + 0.5) - 0.5) * ak)
+        + xp.exp(-(abs(beta - 0.5) - 0.5) * ak)))
 
 
 # ---------------------------------------------------------------------------

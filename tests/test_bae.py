@@ -196,8 +196,8 @@ def test_classify_three_string(params_fig4):
 
 def test_energy_kernel_value():
     # a_1(i z - i a) + a_1(i z + i a) at z-bar = a-bar = 0 equals 4/pi
-    from competing_chain.bae import _a1
-    assert abs(_a1(0.0) + _a1(0.0) - 4.0 / math.pi) < 1e-15
+    from competing_chain.thermo import a_kernel
+    assert abs(a_kernel(0.0, 1) + a_kernel(0.0, 1) - 4.0 / math.pi) < 1e-15
 
 
 def test_energy_refuses_inhomogeneous(params_fig4):
@@ -283,7 +283,7 @@ def test_log_jets_match_the_closed_form_rows(theta_bar, params_fig4):
     # each row is log f at r = 0 and the inverse-power sum at r >= 1
     pr = params_fig4.with_theta_bar(theta_bar)
     stage = bae._Stage.of(pr)
-    t = bae._lambda_zeros(bae._seed_pattern("V", pr).z_reps())
+    t = bae._lambda_table(bae._seed_pattern("V", pr).z_reps())[1]
     w = np.ones(len(t))
     d = stage.x[:, None] - t
     rr = stage.r[:, None]
@@ -345,3 +345,17 @@ def test_gauss_newton_stages_log_their_counts_at_debug(caplog, regime_points):
     assert stages[-1]["outcome"] == "converged" and stages[-1]["residual"] <= 1e-11
     for s in stages:
         assert s["jacobian_evals"] <= s["iterations"] + 1 <= s["residual_evals"]
+
+
+def test_solve_bae_classifies_its_seed_once(monkeypatch, params_fig4):
+    seed = seed_roots("V", params_fig4)
+    seen = []
+    classify = bae.classify_pattern
+
+    def spy(roots, params):
+        seen.append(roots is seed)
+        return classify(roots, params)
+
+    monkeypatch.setattr(bae, "classify_pattern", spy)
+    solve_bae(seed, params_fig4, homotopy=3)
+    assert seen.count(True) == 1

@@ -1,9 +1,15 @@
 import json
+import pathlib
+import shlex
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
 
+from competing_chain import ModelParams, boundary_excitation_energy, energy_from_roots
 from competing_chain.cli import main
+from competing_chain.spectrum import roots_from_json
 
 
 def run(args):
@@ -59,6 +65,21 @@ def test_ed_outputs(tmp_path):
     assert hom["two_n"] == 4 and len(hom["roots"]) == 5
     inh = json.loads((tmp_path / "run_roots_inh.json").read_text())
     assert inh["params"]["theta_bar"] == [0.1, -0.1, 0.2, -0.2]
+
+
+def test_ed_states_writes_one_root_file_per_excited_state(tmp_path):
+    base = tmp_path / "run"
+    code = run(["ed", "--two-n", "4", "--a-bar", "0.6", "--p", "1.0",
+                "--q", "0.5", "--xi", "1.2", "--states", "3", "--out", str(base)])
+    assert code == 0
+    written = sorted(p.name for p in tmp_path.glob("run_roots_hom*.json"))
+    assert written == ["run_roots_hom.json", "run_roots_hom_state1.json",
+                       "run_roots_hom_state2.json"]
+    energies = [float(line.split(",")[1]) for line in
+                (tmp_path / "run_spectrum.csv").read_text().splitlines()[1:]]
+    for k in (1, 2):
+        roots, params = roots_from_json((tmp_path / f"run_roots_hom_state{k}.json").read_text())
+        assert abs(energy_from_roots(roots, params) - energies[k]) <= 1e-8
 
 
 def test_ed_empty_theta_defaults_to_zero(tmp_path):
@@ -147,6 +168,19 @@ def test_scan_excitation_estimate_within_tolerance_at_large_a_bar(tmp_path, args
                for e in _scan_error_estimates(tmp_path, args, "1.2", tol, "adaptive"))
 
 
+def test_scan_boundary_excitation_over_q_takes_q_bar(tmp_path):
+    out = tmp_path / "scan.csv"
+    assert run(["scan", "--quantity", "boundary_excitation", "--var", "q",
+                "--grid=-0.7:0.7:5", "--two-n", "8", "--a-bar", "0.66",
+                "--xi", "1.2", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 5
+    for row in rows:
+        params = ModelParams(two_n=8, a_bar=0.66, q=float(row[0]), xi=1.2)
+        assert row[-1] == "ok"
+        assert float(row[1]) == boundary_excitation_energy(params.q_bar, params)
+
+
 def _scan_error_estimates(tmp_path, args, a_bar, tol, method):
     out = tmp_path / "scan.csv"
     assert run(["scan"] + args + ["--two-n", "8", "--a-bar", a_bar, "--q", "1.0",
@@ -199,3 +233,32 @@ def test_reproducibility_byte_identical(tmp_path, args):
     assert run(args + ["--out", str(out1)]) == 0
     assert run(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The competing-chain command lines of README's Command line section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("competing-chain ")]
+
+
+def test_readme_command_line_examples(tmp_path, monkeypatch):
+    # in README order and one directory: classify reads the file bae writes
+    commands = readme_commands()
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert run(shlex.split(command)[1:]) == 0, command
+
+
+@pytest.mark.skipif(shutil.which("competing-chain") is None,
+                    reason="package not installed, so no console script")
+def test_console_script_entry_point():
+    done = subprocess.run(["competing-chain", "--help"], capture_output=True, text=True)
+    assert done.returncode == 0
+    assert "verify" in done.stdout

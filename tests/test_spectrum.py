@@ -66,6 +66,13 @@ def test_fit_degree_and_leading(params_small):
     assert poly.crossing_defect() <= 1e-8
 
 
+def test_crossing_defect_keeps_trailing_zero_coefficients():
+    # u(u+1) is crossing symmetric; 1 + 2u is not: 1 + 2u - (1 + 2(-u-1)) = 2 + 4u
+    assert SpectralPolynomial((1.0, 0.0)).crossing_defect() == 0.0
+    assert SpectralPolynomial((0.0, 1.0, 1.0, 0.0)).crossing_defect() == 0.0
+    assert SpectralPolynomial((1.0, 2.0, 0.0)).crossing_defect() == 2.0
+
+
 def test_mixed_state_fails_variance_certificate(params_small):
     pairs = diagonalize(params_small)
     mixed = (pairs[0].state + pairs[1].state) / np.sqrt(2.0)
@@ -188,3 +195,30 @@ def test_csv_export(params_fig4):
     lines = roots_to_csv(roots).strip().splitlines()
     assert lines[0] == "index,re,im"
     assert len(lines) == len(roots.z) + 1
+
+
+def test_degenerate_levels_resolve_into_transfer_eigenstates():
+    # at the ModelParams defaults (ā=0, p=q=1, ξ=0) three levels of the 2N=4
+    # chain are degenerate; each block is rotated into t(u*) eigenstates,
+    # whose roots must then satisfy the inversion identity
+    params = ModelParams(two_n=4)
+    pairs = diagonalize(params)
+    energies = np.array([p.energy for p in pairs])
+    scale = max(1.0, np.max(np.abs(energies)))
+    ties = np.flatnonzero(np.diff(energies) <= spectrum.DEGENERACY_GAP * scale)
+    assert len(ties) == 3
+    for pair in pairs:
+        roots = state_zero_roots(pair, params)
+        worst = max(inversion_identity_check(roots, params, j) for j in range(1, 5))
+        assert worst <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=DegeneracyError, reason=(
+    "at 2N=6, ā=0, p=q=0.5, ξ=0 eight of the 40 lowest states fail the variance "
+    "certificate at the sample u = -0.4999999999999993, the midpoint every grid on "
+    "(-3, 2) contains: Λ has a double zero there (|Λ| <= 1.4e-17), so the "
+    "relative test compares a variance <= 1.7e-30 against VAR_TOL |Λ|^2"))
+def test_low_states_sample_across_a_double_zero_of_lambda():
+    params = ModelParams(two_n=6, a_bar=0.0, p=0.5, q=0.5, xi=0.0)
+    for pair in diagonalize(params)[:40]:
+        state_zero_roots(pair, params)
