@@ -31,6 +31,13 @@ closed-form: d/dz of a row is a sum of simple poles at r = 0 and of
 differences enter the solver; Gauss-Newton either reaches its tolerance or
 raises SolverError.
 
+Everything in these rows that does not depend on the roots is built once per
+θ̄ stage (_Stage, _JetRows): the node columns, the r = 0 and r > 0 masks, the
+log c column, the signs and integer exponents of the jets and of their
+gradients, and the a(u) rows.  A residual or Jacobian call forms only the
+differences x - t and their logs or powers.  The certificate evaluates the
+same tables at the raw nodes θ_j + a.
+
 Energies come from E = π(1+4ā²) Σ_l [a_1(z̄_l-ā) + a_1(z̄_l+ā)] - c0 and are
 defined at the homogeneous point only.
 """
@@ -39,6 +46,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -230,91 +238,64 @@ def _avoid_half(value: float) -> float:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _log_jets(u: np.ndarray, r: np.ndarray, c, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Taylor rows of log f for f(u) = c ∏_k (u - t_k)^{w_k}.
+@dataclass(frozen=True)
+class _JetRows:
+    """The root-independent part of the Taylor rows of log f at orders r.
 
-    Row i is (1/r_i!) d^{r_i}/du^{r_i} log f at u_i: log f itself for r = 0,
-    Σ_k w_k (-1)^{r-1} (u - t_k)^{-r} / r for r >= 1.
+    For f(u) = c ∏_k (u - t_k)^{w_k}, row i is (1/r_i!) d^{r_i}/du^{r_i} log f
+    at the node u_i: log f itself for r = 0, Σ_k w_k (-1)^{r-1} (u - t_k)^{-r} / r
+    for r >= 1.  Everything but the nodes and the points t is built once;
+    rows() and grad() take the nodes as a column and expect the caller to hold
+    np.errstate(divide="ignore", invalid="ignore").
     """
-    d = u[:, None] - t
-    jet = r > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if not jet.any():
+
+    log: np.ndarray          # r = 0 rows
+    jet: np.ndarray | None   # r > 0 rows, None if there are none
+    log_c: np.ndarray        # log c on r = 0 rows, 0 on the others
+    sign: np.ndarray         # (-1)^(r-1) on the jet rows
+    power: np.ndarray        # -r on the jet rows, an integer array
+    order: np.ndarray        # r on the jet rows
+    grad_sign: np.ndarray    # w_k (-1)^(r+1)
+    grad_power: np.ndarray   # -(r+1), an integer array
+    w: np.ndarray
+
+    @classmethod
+    def of(cls, r: np.ndarray, c, w: np.ndarray) -> "_JetRows":
+        jet = r > 0
+        rr = r[:, None]
+        rj = r[jet, None]
+        return cls(~jet, jet if jet.any() else None, np.where(r == 0, np.log(c), 0.0),
+                   (-1.0) ** (rj - 1), -rj, rj, w * (-1.0) ** (rr + 1), -(rr + 1), w)
+
+    def rows(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        d = u - t
+        if self.jet is None:
             terms = np.log(d)
         else:
             terms = np.empty_like(d)
-            terms[~jet] = np.log(d[~jet])
-            rr = r[jet, None]
-            terms[jet] = (-1.0) ** (rr - 1) * d[jet] ** -rr / rr
-    return np.where(r == 0, np.log(c), 0.0) + terms @ w
+            terms[self.log] = np.log(d[self.log])
+            terms[self.jet] = self.sign * d[self.jet] ** self.power / self.order
+        return self.log_c + terms @ self.w
+
+    def grad(self, u: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """t-gradient of the rows: entry [i, k] is w_k (-1)^{r_i+1} (u_i - t_k)^{-r_i-1}."""
+        return self.grad_sign * (u - t) ** self.grad_power
 
 
-def _jet_gradient(u: np.ndarray, r: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """t-gradient of the _log_jets rows: entry [i, k] is w_k (-1)^{r_i+1} (u_i - t_k)^{-r_i-1}."""
-    rr = r[:, None]
+def _lambda_points(z: np.ndarray) -> np.ndarray:
+    """The zeros t of Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2) = 2 ∏_k (u - t_k)."""
+    return np.concatenate([z - 0.5, -z - 0.5])
+
+
+def _log_a_rows(nodes, r: np.ndarray, params: ModelParams) -> list:
+    """Taylor rows of log a at each node array of nodes, from transfer.a_table."""
+    c, zeta, mult = a_table(params)
+    table = _JetRows.of(r, c, mult)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return w * (-1.0) ** (rr + 1) * (u[:, None] - t) ** -(rr + 1)
-
-
-def _lambda_table(z: np.ndarray):
-    """(c, ζ, m) with Λ(u) = c ∏_k (u - ζ_k)^{m_k}, the form _log_jets takes.
-
-    Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2).  Built once per root vector
-    and shared by every Λ row evaluated at it.
-    """
-    t = np.concatenate([z - 0.5, -z - 0.5])
-    return 2.0, t, np.ones(len(t))
-
-
-def _log_lambda_grad(u: np.ndarray, r: np.ndarray, lam) -> np.ndarray:
-    """z-derivatives of the _log_jets rows of Λ."""
-    _, t, w = lam
-    n = len(t) // 2
-    grad = _jet_gradient(u, r, t, w)
-    return grad[:, :n] - grad[:, n:]
-
-
-def _log_a_rows(u: np.ndarray, r: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Taylor rows of log a from the zero/pole table of transfer.a_table."""
-    return _log_jets(u, r, *a_table(params))
-
-
-def _log_ad_rows(x: np.ndarray, r: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Taylor rows at x of log a(x)d(x-1) = log a(x)a(-x)."""
-    return _log_a_rows(x, r, params) + (-1.0) ** r * _log_a_rows(-x, r, params)
+        return [table.rows(u[:, None], zeta) for u in nodes]
 
 
 _ZERO = np.zeros(1, dtype=int)
-
-
-def _fused_logs(x: np.ndarray, r: np.ndarray, z: np.ndarray, params: ModelParams):
-    """Taylor rows at x of log Λ(x)Λ(x-1) and of log a(x)d(x-1) = log a(x)a(-x)."""
-    lam = _lambda_table(z)
-    return _log_jets(x, r, *lam) + _log_jets(x - 1.0, r, *lam), _log_ad_rows(x, r, params)
-
-
-def _lambda_zero_logs(z: np.ndarray, params: ModelParams):
-    """log Λ(0) and the required log a(0) = log 2pq∏(1-θ_j-a)(1+θ_j+a)."""
-    return _log_jets(_ZERO, _ZERO, *_lambda_table(z))[0], _log_a_rows(_ZERO, _ZERO, params)[0]
-
-
-def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
-    """Raw certification residual: 2N ratio defects plus the Λ(0) defect.
-
-    Component j is (LHS-RHS)/RHS of the node-j equation; if the RHS
-    vanishes the component falls back to the unnormalized difference and a
-    warning is emitted.
-    """
-    z = np.asarray(roots.z, dtype=complex)
-    x = params.thetas + params.a
-    lhs, rhs = _fused_logs(x, np.zeros(len(x), dtype=int), z, params)
-    out = np.exp(lhs - rhs) - 1.0
-    vanishing = ~np.isfinite(rhs)
-    if np.any(vanishing):
-        warnings.warn("vanishing equation RHS; using unnormalized residual")
-        out[vanishing] = np.exp(lhs[vanishing]) - np.exp(rhs[vanishing])
-    lam0, a0 = _lambda_zero_logs(z, params)
-    return np.append(out, np.exp(lam0 - a0) - 1.0)
 
 
 def _theta_groups(theta_bar):
@@ -331,31 +312,55 @@ def _theta_groups(theta_bar):
 
 def _principal_log(value):
     """Reduce log-ratios to the branch nearest zero (solutions sit at 2πik)."""
-    return value - 2.0j * np.pi * np.round(np.imag(value) / (2.0 * np.pi))
+    return value - 2.0j * np.pi * np.rint(value.imag / (2.0 * np.pi))
 
 
 @dataclass(frozen=True)
 class _Stage:
-    """The root-independent part of the confluent system at one θ̄ profile.
+    """The root-independent part of the zero-root system at fixed nodes.
 
-    Per distinct θ value of multiplicity μ there are rows r = 0..μ-1 at the
-    node x = iθ̄ + a, scaled by JET_SCALE^r; rhs holds their Taylor rows of
-    log a(x)a(-x) and a0 = log a(0).
+    Row i sits at the node x_i with Taylor order r_i, scaled by JET_SCALE^r.
+    lam evaluates the Λ rows at the nodes x and x - 1, lam0 the Λ(0) row;
+    rhs holds the Taylor rows of log a(x)a(-x) and a0 = log a(0).
     """
 
     x: np.ndarray
     r: np.ndarray
     scale: np.ndarray
+    jet: np.ndarray              # indices of the r > 0 rows
     rhs: np.ndarray
     a0: complex
+    nodes: tuple                 # x, x - 1 and 0 as columns
+    lam: _JetRows                # Λ at the orders r
+    lam0: _JetRows               # Λ at the single order 0
+
+    @classmethod
+    def at(cls, x: np.ndarray, r: np.ndarray, params: ModelParams) -> "_Stage":
+        ax, amx = _log_a_rows((x, -x), r, params)
+        w = np.ones(2 * (params.two_n + 1))
+        return cls(x, r, JET_SCALE ** r, np.flatnonzero(r), ax + (-1.0) ** r * amx,
+                   _log_a_rows((_ZERO,), _ZERO, params)[0][0],
+                   (x[:, None], (x - 1.0)[:, None], _ZERO[:, None]),
+                   _JetRows.of(r, 2.0, w), _JetRows.of(_ZERO, 2.0, w))
 
     @classmethod
     def of(cls, params: ModelParams) -> "_Stage":
+        """The confluent system at params.theta_bar.
+
+        Per distinct θ value of multiplicity μ there are rows r = 0..μ-1 at
+        the node x = iθ̄ + a.
+        """
         groups = _theta_groups(params.theta_bar)
         x = np.asarray([1j * v + params.a for v, mult in groups for _ in range(mult)])
         r = np.asarray([k for _, mult in groups for k in range(mult)], dtype=int)
-        return cls(x, r, JET_SCALE ** r, _log_ad_rows(x, r, params),
-                   _log_a_rows(_ZERO, _ZERO, params)[0])
+        return cls.at(x, r, params)
+
+    def lambda_logs(self, z: np.ndarray):
+        """Taylor rows of log Λ(x)Λ(x-1) at the nodes, and log Λ(0)."""
+        x, x1, zero = self.nodes
+        t = _lambda_points(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.lam.rows(x, t) + self.lam.rows(x1, t), self.lam0.rows(zero, t)[0]
 
     def residual(self, z: np.ndarray) -> np.ndarray:
         """Solver residual in logarithmic form.
@@ -364,16 +369,46 @@ class _Stage:
         L^(r)(x) s^r / r!, then the log-form Λ(0) defect.  The raw ratio
         form is used only for the final certification.
         """
-        lam = _lambda_table(z)
-        diff = _log_jets(self.x, self.r, *lam) + _log_jets(self.x - 1.0, self.r, *lam) - self.rhs
-        rows = np.where(self.r == 0, _principal_log(diff), self.scale * diff)
-        return np.append(rows, _principal_log(_log_jets(_ZERO, _ZERO, *lam)[0] - self.a0))
+        lhs, lam0 = self.lambda_logs(z)
+        m = len(lhs)
+        diff = np.empty(m + 1, dtype=complex)
+        np.subtract(lhs, self.rhs, out=diff[:m])
+        diff[m] = lam0 - self.a0
+        out = _principal_log(diff)
+        if len(self.jet):
+            out[self.jet] = self.scale[self.jet] * diff[self.jet]
+        return out
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
         """Exact z-derivative of residual(z)."""
-        lam = _lambda_table(z)
-        dlhs = _log_lambda_grad(self.x, self.r, lam) + _log_lambda_grad(self.x - 1.0, self.r, lam)
-        return np.vstack([self.scale[:, None] * dlhs, _log_lambda_grad(_ZERO, _ZERO, lam)])
+        x, x1, zero = self.nodes
+        t = _lambda_points(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gx, gx1, g0 = self.lam.grad(x, t), self.lam.grad(x1, t), self.lam0.grad(zero, t)
+        n = len(z)
+        out = np.empty((len(self.r) + 1, n), dtype=complex)
+        np.multiply(self.scale[:, None], (gx[:, :n] - gx[:, n:]) + (gx1[:, :n] - gx1[:, n:]),
+                    out=out[:-1])
+        np.subtract(g0[:, :n], g0[:, n:], out=out[-1:])
+        return out
+
+
+def bae_residual(roots: ZeroRootSet, params: ModelParams) -> np.ndarray:
+    """Raw certification residual: 2N ratio defects plus the Λ(0) defect.
+
+    Component j is (LHS-RHS)/RHS of the node-j equation; if the RHS
+    vanishes the component falls back to the unnormalized difference and a
+    warning is emitted.
+    """
+    stage = _Stage.at(params.thetas + params.a, np.zeros(params.two_n, dtype=int), params)
+    lhs, lam0 = stage.lambda_logs(np.asarray(roots.z, dtype=complex))
+    rhs = stage.rhs
+    out = np.exp(lhs - rhs) - 1.0
+    vanishing = ~np.isfinite(rhs)
+    if np.any(vanishing):
+        warnings.warn("vanishing equation RHS; using unnormalized residual")
+        out[vanishing] = np.exp(lhs[vanishing]) - np.exp(rhs[vanishing])
+    return np.append(out, np.exp(lam0 - stage.a0) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,14 +419,14 @@ def _stack_real(c: np.ndarray) -> np.ndarray:
     return np.concatenate([c.real, c.imag])
 
 
-def _reduced_jacobian(stage: _Stage, z_map: np.ndarray, y: np.ndarray):
+def _reduced_jacobian(stage: _Stage, z_map: np.ndarray, y: np.ndarray, z: np.ndarray):
     """Real Jacobian at reduced coordinates y, or None if it is not finite.
 
     z = M |y| with M = _Pattern.z_map(), so dF/dy = (dF/dz M) sign(y); F is
     holomorphic in z and y is real, so the real Jacobian stacks the real and
     imaginary parts.
     """
-    jac = (stage.jacobian(z_map @ np.abs(y)) @ z_map) * np.where(y < 0.0, -1.0, 1.0)
+    jac = (stage.jacobian(z) @ z_map) * np.where(y < 0.0, -1.0, 1.0)
     if not np.all(np.isfinite(jac)):
         return None  # a root hit a logarithmic singularity
     return _stack_real(jac)
@@ -403,16 +438,18 @@ def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
 
     Line-search trials evaluate the residual only; the Jacobian is built at
     the trial the Armijo test accepts, and a non-finite one rejects it.  The
-    stage's counts go to the module logger at DEBUG level.
+    stage's counts and wall time go to the module logger at DEBUG level.
     """
+    start = time.perf_counter()
     stage = _Stage.of(params)
     z_map = pattern.z_map()
     y = pattern.encode()
     iterations, residual_evals, jacobian_evals = 0, 1, 1
     fnorm, outcome = math.inf, "failed"
     try:
-        f = stage.residual(z_map @ np.abs(y))
-        jac = _reduced_jacobian(stage, z_map, y)
+        z = z_map @ np.abs(y)
+        f = stage.residual(z)
+        jac = _reduced_jacobian(stage, z_map, y, z)
         if jac is None or not np.all(np.isfinite(f)):
             outcome = "non-finite seed"
             raise SolverError("seed evaluates to a non-finite residual", history=history)
@@ -427,12 +464,13 @@ def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
             t = 1.0
             while True:
                 y_new = y + t * step
-                f_new = stage.residual(z_map @ np.abs(y_new))
+                z_new = z_map @ np.abs(y_new)
+                f_new = stage.residual(z_new)
                 residual_evals += 1
                 # a non-finite residual fails the Armijo test
                 if np.linalg.norm(_stack_real(f_new)) <= (1.0 - 1e-4 * t) * base:
                     jacobian_evals += 1
-                    jac_new = _reduced_jacobian(stage, z_map, y_new)
+                    jac_new = _reduced_jacobian(stage, z_map, y_new, z_new)
                     if jac_new is not None:
                         break
                 t *= 0.5
@@ -455,10 +493,10 @@ def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
     finally:
         _log.debug("Gauss-Newton stage at 2N=%(two_n)d: %(outcome)s after %(iterations)d "
                    "iterations, %(residual_evals)d residual and %(jacobian_evals)d "
-                   "Jacobian evaluations, residual %(residual).3e",
+                   "Jacobian evaluations, residual %(residual).3e, %(seconds).3g s",
                    {"two_n": params.two_n, "outcome": outcome, "iterations": iterations,
                     "residual_evals": residual_evals, "jacobian_evals": jacobian_evals,
-                    "residual": fnorm})
+                    "residual": fnorm, "seconds": time.perf_counter() - start})
 
 
 def default_spread_profile(two_n: int, scale: float = 0.1) -> tuple:
