@@ -7,12 +7,13 @@ parameterized by 2N+1 sign-paired zero roots via
     Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2).
 
 Λ is sampled as a Rayleigh quotient of the (matrix-free) transfer
-application, with a variance certificate guarding against unresolved
-degeneracies, interpolated on scaled Chebyshev nodes plus the fixed points
-{0, -1}, factored through a balanced companion matrix, and the roots are
-polished by Newton steps on the exact Rayleigh quotient, with the slope of
-the fitted polynomial, so downstream energy checks hold at 1e-8 and better.
-All points of one curve go through one batched transfer application.
+application, certified by the eigen-residual ‖t(u)v − Λv‖² ≤ VAR_TOL·|Λ|²
+against unresolved degeneracies, interpolated on scaled Chebyshev nodes
+plus the fixed points {0, -1}, factored through a balanced companion
+matrix, and the roots are polished by Newton steps on the exact Rayleigh
+quotient, with the slope of the fitted polynomial, so downstream energy
+checks hold at 1e-8 and better.  All points of one curve, samples and
+certificate together, go through one batched transfer application.
 
 Root-set serialization: JSON holds the sign-pair representatives of z
 (convention Im z >= 0, ties broken by Re z >= 0); the CSV export emits the
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
+from numpy.polynomial import polyutils as pu
 
 from .algebra import max_norm
 from .errors import (ConsistencyError, DegeneracyError, ExtractionError,
@@ -41,7 +43,7 @@ ROOT_ZERO_TOL = 1e-12
 POLISH_STEPS = 2
 HERM_TOL = 1e-12          # hermiticity defect of H, relative to max(1, |H|)
 DEGENERACY_GAP = 1e-9     # level spacing, relative to the spectral scale
-VAR_TOL = 1e-8            # transfer variance, relative to |Λ|^2
+VAR_TOL = 1e-8            # squared eigen-residual of t(u) v, relative to |Λ|^2
 COND_THRESHOLD = 1e12     # largest Chebyshev-Vandermonde condition number
 LEADING_TOL = 1e-6        # relative deviation of the leading coefficient from 2
 PAIR_TOL = 1e-6           # largest |s_i + s_j| mismatch of a ± root pair
@@ -142,8 +144,8 @@ def diagonalize(params: ModelParams) -> list:
     if defect > HERM_TOL * max(1.0, max_norm(h)):
         raise ConsistencyError(f"Hamiltonian hermiticity defect {defect:.3e}")
     energies, vectors = np.linalg.eigh(h)
-    pairs = [EigenPair(float(energies[i]), np.ascontiguousarray(vectors[:, i]))
-             for i in range(len(energies))]
+    states = np.ascontiguousarray(vectors.T)
+    pairs = [EigenPair(float(e), state) for e, state in zip(energies, states)]
     _resolve_degenerate_blocks(pairs, params)
     return pairs
 
@@ -185,23 +187,24 @@ def _transfer_rows(us, params: ModelParams, v: np.ndarray) -> np.ndarray:
 
 
 def lambda_samples(state, params: ModelParams, points):
-    """Rayleigh-quotient samples Λ(u_k) = <v|t(u_k)|v> with variance certificate.
+    """Rayleigh-quotient samples Λ(u_k) = <v|t(u_k)|v> with a residual certificate.
 
-    The certificate <t(u)^2> - <t(u)>^2 <= VAR_TOL |Λ|^2 fails on unresolved
-    degenerate states; resolve them first (see diagonalize).
+    The certificate ‖t(u)v − Λv‖² <= VAR_TOL |Λ|^2 reads the same rows t(u)v
+    as Λ; it fails on unresolved degenerate states, so resolve them first
+    (see diagonalize).  For hermitian t(u) and unit v it equals the variance
+    <t(u)^2> - <t(u)>^2.
     """
     v = _state_vector(state)
     us = np.asarray(points).ravel()
     tv = _transfer_rows(us, params, v)
     lam = tv @ v.conj()
-    second = apply_transfer(us, params, tv) @ v.conj()
-    variance = np.abs(second - lam * lam)
-    bad = np.flatnonzero(variance > VAR_TOL * np.maximum(np.abs(lam) ** 2, 1e-300))
+    residual = np.sum(np.abs(tv - lam[:, None] * v) ** 2, axis=1)
+    bad = np.flatnonzero(residual > VAR_TOL * np.maximum(np.abs(lam) ** 2, 1e-300))
     if bad.size:
         k = bad[0]
         raise DegeneracyError(
-            f"transfer variance {variance[k]:.3e} at u={us[k]}: resolve the degenerate "
-            "subspace by simultaneous diagonalization before sampling")
+            f"transfer eigen-residual {residual[k]:.3e} at u={us[k]}: resolve the "
+            "degenerate subspace by simultaneous diagonalization before sampling")
     return lam
 
 
@@ -214,6 +217,31 @@ def chebyshev_sample_points(two_n: int, interval=DEFAULT_INTERVAL) -> np.ndarray
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
     pts = np.concatenate([nodes, [0.0, -1.0]])
     return np.unique(pts)
+
+
+def _chebyshev_to_power(coeffs, interval) -> np.ndarray:
+    """Ascending power-basis coefficients of a Chebyshev series on ``interval``.
+
+    The Clenshaw recurrence of ``Chebyshev(coeffs, interval).convert(
+    kind=Polynomial)`` on coefficient arrays: the same convolutions, padded
+    additions and subtractions in the same order, so the result is
+    bit-identical to numpy's for any series of length >= 3 whose leading
+    coefficient is nonzero (numpy would trim trailing zeros).
+    """
+    c = np.asarray(coeffs, dtype=complex)
+    off, scl = pu.mapparms(interval, (-1.0, 1.0))
+    x = np.array([off, scl], dtype=complex)  # the window variable off + scl·u
+    x2 = 2.0 * x
+    c0, c1 = c[-2:-1], c[-1:]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        c0 = -c1
+        c0[0] += c[-i]
+        c1 = np.convolve(c1, x2)
+        c1[: len(tmp)] += tmp
+    out = np.convolve(c1, x)
+    out[: len(c0)] += c0
+    return out
 
 
 def fit_lambda_polynomial(points, values, two_n: int,
@@ -233,10 +261,7 @@ def fit_lambda_polynomial(points, values, two_n: int,
             f"Vandermonde condition {cond:.3e} above {COND_THRESHOLD:.1e}; "
             "widen the sample interval")
     coeffs_cheb, *_ = np.linalg.lstsq(design, values, rcond=None)
-    series = npcheb.Chebyshev(coeffs_cheb, domain=[lo, hi])
-    power = series.convert(kind=np.polynomial.Polynomial)
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    coeffs[: len(power.coef)] = power.coef
+    coeffs = _chebyshev_to_power(coeffs_cheb, interval)
     lead = coeffs[-1]
     if abs(lead / 2.0 - 1.0) > LEADING_TOL:
         raise FitError(f"leading coefficient {lead} deviates from 2 beyond {LEADING_TOL}")

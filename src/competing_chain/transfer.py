@@ -11,8 +11,10 @@ propagated exactly alongside the product (dM -> M + F dM per factor); no
 finite differences appear anywhere in the Hamiltonian generation.
 
 Operators on auxiliary ⊗ quantum space are dense (dim 2^{2N+1}) with the
-auxiliary bit slowest.  Factors are applied by an axis swap rather than by
-matrix products, which keeps the construction O(2N · dim^2).
+auxiliary bit slowest.  A factor R_{0,j}(v) = v + P_{0,j} is applied as
+v·m plus a strided, axis-swapped view of m's rows, accumulated in place, so
+neither a matrix product nor a copy of P_{0,j} m is formed and the
+construction stays O(2N · dim^2).
 """
 
 from __future__ import annotations
@@ -28,11 +30,20 @@ from .params import ModelParams, c0_constant, c2_constant
 MAX_DIM = 2 ** 13
 
 
-def _swap_rows_aux_site(m: np.ndarray, j: int, two_n: int) -> np.ndarray:
-    """Row-index action of the permutation P_{0,j} on a (dim x k) block."""
-    shape = m.shape
-    t = m.reshape((2,) * (two_n + 1) + (-1,))
-    return np.swapaxes(t, 0, j).reshape(shape)
+def _apply_factor(m: np.ndarray, v, j: int, two_n: int, carry=None) -> np.ndarray:
+    """R_{0,j}(v) m = v·m + P_{0,j} m on the rows of a (dim x ...) block.
+
+    P_{0,j} m is read as an axis-swapped view of m and added in place.  With
+    ``carry`` the result is (carry + v·m) + P_{0,j} m, the product-rule step
+    of a derivative block m with carry the monodromy before this factor.
+    """
+    out = v * m
+    if carry is not None:
+        out += carry
+    rows = (2,) * (two_n + 1) + (-1,)
+    acc = out.reshape(rows)
+    acc += np.swapaxes(m.reshape(rows), 0, j)
+    return out
 
 
 def _site_shift_sign(j: int, reflected: bool) -> int:
@@ -59,8 +70,8 @@ def monodromy(u, params: ModelParams, reflected: bool = False,
     for j in sites:
         v = u + _site_shift_sign(j, reflected) * shifts[j - 1]
         if derivative:
-            dm = m + v * dm + _swap_rows_aux_site(dm, j, two_n)
-        m = v * m + _swap_rows_aux_site(m, j, two_n)
+            dm = _apply_factor(dm, v, j, two_n, carry=m)
+        m = _apply_factor(m, v, j, two_n)
     return (m, dm) if derivative else m
 
 
@@ -214,7 +225,7 @@ def apply_transfer(u, params: ModelParams, vec: np.ndarray) -> np.ndarray:
     w = w.reshape(2 * qdim, 2, n)
     for j in range(two_n, 0, -1):  # reflected monodromy, rightmost factor first
         v = us + _site_shift_sign(j, reflected=True) * shifts[j - 1]
-        w = v * w + _swap_rows_aux_site(w, j, two_n)
+        w = _apply_factor(w, v, j, two_n)
     km = k_minus(us, params.p)
     w = w.reshape(2, qdim, 2, n)
     w[0] *= km[0, 0]
@@ -222,7 +233,7 @@ def apply_transfer(u, params: ModelParams, vec: np.ndarray) -> np.ndarray:
     w = w.reshape(2 * qdim, 2, n)
     for j in range(1, two_n + 1):
         v = us + _site_shift_sign(j, reflected=False) * shifts[j - 1]
-        w = v * w + _swap_rows_aux_site(w, j, two_n)
+        w = _apply_factor(w, v, j, two_n)
     kp = k_plus(us, params.q, params.xi)
     w = w.reshape(2, qdim, 2, n)
     out = np.zeros((qdim, n), dtype=complex)

@@ -2,12 +2,14 @@ import itertools
 import json
 
 import numpy as np
+import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
 import pytest
 
-from competing_chain import (ModelParams, diagonalize, lambda_samples,
-                             chebyshev_sample_points, fit_lambda_polynomial,
-                             extract_zero_roots, state_zero_roots,
+from competing_chain import (ModelParams, apply_transfer, diagonalize,
+                             lambda_samples, chebyshev_sample_points,
+                             fit_lambda_polynomial, extract_zero_roots,
+                             state_zero_roots,
                              transfer_state_roots, lambda_from_roots,
                              inversion_identity_check, hamiltonian_direct,
                              roots_to_json, roots_from_json, roots_to_csv)
@@ -74,10 +76,40 @@ def test_crossing_defect_keeps_trailing_zero_coefficients():
 
 
 def test_mixed_state_fails_variance_certificate(params_small):
+    # an equal mix of two levels, and the ground state perturbed by 1e-3
     pairs = diagonalize(params_small)
-    mixed = (pairs[0].state + pairs[1].state) / np.sqrt(2.0)
-    with pytest.raises(DegeneracyError):
-        lambda_samples(mixed, params_small, chebyshev_sample_points(params_small.two_n))
+    kick = np.random.default_rng(3).normal(size=len(pairs[0].state))
+    perturbed = pairs[0].state + 1e-3 * kick / np.linalg.norm(kick)
+    pts = chebyshev_sample_points(params_small.two_n)
+    for state in ((pairs[0].state + pairs[1].state) / np.sqrt(2.0),
+                  perturbed / np.linalg.norm(perturbed)):
+        with pytest.raises(DegeneracyError):
+            lambda_samples(state, params_small, pts)
+
+
+def test_lambda_samples_applies_the_transfer_once(params_small, monkeypatch):
+    # Λ and its residual certificate read the same batched rows t(u_k) v
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return apply_transfer(*args)
+
+    monkeypatch.setattr(spectrum, "apply_transfer", counted)
+    pts = chebyshev_sample_points(params_small.two_n)
+    lambda_samples(diagonalize(params_small)[0], params_small, pts)
+    assert len(calls) == 1 and np.array_equal(calls[0], pts)
+
+
+def test_chebyshev_to_power_equals_numpy_convert():
+    # same Clenshaw recurrence on arrays: bit-identical to Chebyshev.convert
+    gen = np.random.default_rng(1140)
+    for length in range(3, 61):
+        for interval in ((-3.0, 2.0), (-1.0, 1.0), (-2.5, 0.7)):
+            scale = 10.0 ** gen.uniform(-5.0, 5.0, length)
+            c = scale * (gen.normal(size=length) + 1j * gen.normal(size=length))
+            want = npcheb.Chebyshev(c, domain=list(interval)).convert(kind=nppoly.Polynomial)
+            assert np.array_equal(spectrum._chebyshev_to_power(c, interval), want.coef)
 
 
 def test_fit_holdout_residual(params_fig4):
@@ -214,10 +246,11 @@ def test_degenerate_levels_resolve_into_transfer_eigenstates():
 
 
 @pytest.mark.xfail(strict=True, raises=DegeneracyError, reason=(
-    "at 2N=6, ā=0, p=q=0.5, ξ=0 eight of the 40 lowest states fail the variance "
+    "at 2N=6, ā=0, p=q=0.5, ξ=0 eight of the 40 lowest states fail the residual "
     "certificate at the sample u = -0.4999999999999993, the midpoint every grid on "
     "(-3, 2) contains: Λ has a double zero there (|Λ| <= 1.4e-17), so the "
-    "relative test compares a variance <= 1.7e-30 against VAR_TOL |Λ|^2"))
+    "relative test compares a squared eigen-residual <= 1.7e-30 against "
+    "VAR_TOL |Λ|^2"))
 def test_low_states_sample_across_a_double_zero_of_lambda():
     params = ModelParams(two_n=6, a_bar=0.0, p=0.5, q=0.5, xi=0.0)
     for pair in diagonalize(params)[:40]:

@@ -7,6 +7,7 @@ from competing_chain import (ModelParams, hamiltonian_direct,
                              transfer_commutator_residual, crossing_residual,
                              transfer_identity_residual, apply_transfer,
                              a_bare, d_bare, max_norm)
+from competing_chain import transfer
 from competing_chain.errors import ParameterError, SizeError
 
 
@@ -144,3 +145,41 @@ def test_apply_transfer_batch_matches_dense():
     assert np.max(np.abs(single - rows[2])) < 1e-11
     with pytest.raises(ValueError):
         apply_transfer(us, pr, vecs[:4])
+
+
+def _swap_copy_factor(m, v, j, two_n, carry=None):
+    # reference R-factor: P_{0,j} m as an axis-swapped copy, added after v·m
+    shape = m.shape
+    swapped = np.swapaxes(m.reshape((2,) * (two_n + 1) + (-1,)), 0, j).reshape(shape)
+    return (v * m if carry is None else carry + v * m) + swapped
+
+
+BIT_IDENTITY_CHAINS = {
+    "2N=4": ModelParams(two_n=4, a_bar=0.6, p=1.0, q=0.5, xi=1.2),
+    "2N=6-inhomogeneous": ModelParams(two_n=6, a_bar=0.6, p=1.0, q=0.5, xi=1.2,
+                                      theta_bar=[0.1, -0.2, 0.05, 0.3, -0.1, 0.0]),
+    "2N=8": ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2),
+}
+
+
+def _transfer_outputs(pr, u, vecs, us):
+    out = [monodromy(u, pr, reflected=r) for r in (False, True)]
+    out += [d for r in (False, True) for d in monodromy(u, pr, reflected=r, derivative=True)]
+    out += [transfer_matrix(u, pr), *transfer_and_derivative(u, pr)]
+    return out + [apply_transfer(us, pr, vecs)]
+
+
+@pytest.mark.parametrize("u", [0.31, -0.77 + 0.4j], ids=["real", "complex"])
+@pytest.mark.parametrize("chain", list(BIT_IDENTITY_CHAINS))
+def test_strided_factor_is_bit_identical_to_the_swap_copy(chain, u, monkeypatch):
+    # the in-place strided-view accumulation must reproduce v·m + (P m copy)
+    # bit for bit in every monodromy, transfer and matrix-free product
+    pr = BIT_IDENTITY_CHAINS[chain]
+    gen = np.random.default_rng(pr.two_n)
+    us = np.array([u, 0.0, -0.5, 1.7 - 0.2j, -2.9])
+    vecs = gen.normal(size=(5, 2 ** pr.two_n)) + 1j * gen.normal(size=(5, 2 ** pr.two_n))
+    got = _transfer_outputs(pr, u, vecs, us)
+    monkeypatch.setattr(transfer, "_apply_factor", _swap_copy_factor)
+    want = _transfer_outputs(pr, u, vecs, us)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)

@@ -1,0 +1,73 @@
+"""SHA-256 digests of the files the command-line examples write.
+
+Runs README's command-line examples (the list that
+``tests/test_cli.py::readme_commands`` parses, in README order and in one
+directory, so ``classify`` reads the file ``bae`` writes) and then
+``ed --two-n 10 --states 8``, all inside a temporary directory.  Each
+command's standard output and standard error are saved beside the files it
+writes.  Prints one ``sha256  file`` line per file, sorted by name, so two
+trees that compute the same numbers print the same list.
+
+    python3 tools/cli_digest.py
+
+Exit status 1 if any command exits non-zero (its line is reported on
+standard error); the digests are printed either way.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+EXTRA_COMMANDS = ["competing-chain ed --two-n 10 --states 8"]
+
+
+def _readme_commands() -> list:
+    spec = importlib.util.spec_from_file_location("test_cli", ROOT / "tests" / "test_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.readme_commands()
+
+
+def _run(command: str, index: int, cli_main) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(shlex.split(command)[1:])
+    Path(f"cmd{index:02d}.stdout").write_text(out.getvalue(), encoding="utf-8")
+    Path(f"cmd{index:02d}.stderr").write_text(err.getvalue(), encoding="utf-8")
+    return code
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from competing_chain.cli import main as cli_main
+
+    commands = _readme_commands() + EXTRA_COMMANDS
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for index, command in enumerate(commands):
+                code = _run(command, index, cli_main)
+                if code != 0:
+                    failed += 1
+                    sys.stderr.write(f"exit {code}: {command}\n")
+            for path in sorted(Path(tmp).iterdir()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                sys.stdout.write(f"{digest}  {path.name}\n")
+        finally:
+            os.chdir(cwd)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
