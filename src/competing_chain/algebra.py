@@ -33,13 +33,13 @@ def max_norm(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def kron(a, b, max_dim: int = MAX_KRON_DIM) -> np.ndarray:
+def kron(a, b) -> np.ndarray:
     """Kronecker product with the package's dimension cap."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     dim = a.shape[0] * b.shape[0]
-    if dim > max_dim:
-        raise SizeError(f"kron result dimension {dim} exceeds cap {max_dim}")
+    if dim > MAX_KRON_DIM:
+        raise SizeError(f"kron result dimension {dim} exceeds cap {MAX_KRON_DIM}")
     return np.kron(a, b)
 
 

@@ -204,13 +204,7 @@ class _Pattern:
 
 def seed_roots(regime: str, params: ModelParams) -> ZeroRootSet:
     """Root-set seed carrying the regime's ground-state inventory."""
-    pat = _seed_pattern(regime, params)
-    count = len(pat.z_reps())
-    if count != params.two_n + 1:
-        raise ConsistencyError(
-            f"seed inventory for regime {regime} has {count} representatives, "
-            f"expected {params.two_n + 1}")
-    return pat.root_set(params.two_n)
+    return _seed_pattern(regime, params).root_set(params.two_n)
 
 
 def _seed_pattern(regime, params) -> _Pattern:
@@ -562,11 +556,7 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
             betas += list(RETRY_BETA_SEEDS)
         # root tracking needs finer ramps on longer chains: a second pass
         # with ~3 steps per site rescues schedules that jump branches
-        step_counts = [homotopy]
-        fine = max(3 * params.two_n, 3 * homotopy)
-        if fine > homotopy:
-            step_counts.append(fine)
-        for steps in step_counts:
+        for steps in (homotopy, max(3 * params.two_n, 3 * homotopy)):
             for s0 in scales:
                 start = np.asarray(default_spread_profile(params.two_n, scale=s0))
                 stages = [tuple(start + (target - start) * k / steps)

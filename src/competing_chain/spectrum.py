@@ -15,6 +15,11 @@ quotient, with the slope of the fitted polynomial, so downstream energy
 checks hold at 1e-8 and better.  All points of one curve, samples and
 certificate together, go through one batched transfer application.
 
+At nonzero inhomogeneities, where no Hamiltonian exists, the state is a
+unit eigenvector of t(u*) itself (transfer_state_roots).  The t(u) commute,
+so it needs no left eigenvector and takes the same certified path as an
+ED state.
+
 Root-set serialization: JSON holds the sign-pair representatives of z
 (convention Im z >= 0, ties broken by Re z >= 0); the CSV export emits the
 rotated values z̄ = -i z used for root-pattern plots.
@@ -35,7 +40,7 @@ from .errors import (ConsistencyError, DegeneracyError, ExtractionError,
                      FitError, ParameterError)
 from .hamiltonian import hamiltonian_direct
 from .params import ModelParams
-from .transfer import a_bare, apply_transfer, d_bare, transfer_matrix
+from .transfer import a_bare, apply_transfer, d_bare
 
 DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
@@ -159,17 +164,28 @@ def _resolve_degenerate_blocks(pairs, params):
             j += 1
         if j - i > 1:
             block = np.column_stack([pairs[k].state for k in range(i, j)])
-            tv = apply_transfer(np.full(j - i, DEGENERACY_RESOLVE_POINT), params, block.T).T
-            small = block.conj().T @ tv
-            _, w = np.linalg.eig(small)
-            new = block @ w
-            for c in range(new.shape[1]):
-                v = new[:, c]
-                nrm = np.linalg.norm(v)
-                if nrm < 1e-12:
-                    raise DegeneracyError("degenerate block produced a null vector")
-                pairs[i + c].state = v / nrm
+            for k, v in enumerate(_transfer_eigenvectors(block, params), start=i):
+                pairs[k].state = v
         i = j
+
+
+def _transfer_eigenvectors(basis: np.ndarray, params: ModelParams) -> list:
+    """Unit eigenvectors of t(u*) inside the span of orthonormal basis columns.
+
+    t(u*) at u* = DEGENERACY_RESOLVE_POINT is applied to every column in one
+    batched pass, projected onto the basis and diagonalized.  Each
+    eigenvector is normalised by its own ``norm`` call: ``norm(axis=0)``
+    over the block rounds differently.
+    """
+    tv = apply_transfer(np.full(basis.shape[1], DEGENERACY_RESOLVE_POINT), params, basis.T).T
+    _, w = np.linalg.eig(basis.conj().T @ tv)
+    vectors = []
+    for v in (basis @ w).T:
+        nrm = np.linalg.norm(v)
+        if nrm < 1e-12:
+            raise DegeneracyError("degenerate block produced a null vector")
+        vectors.append(v / nrm)
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +354,15 @@ def transfer_state_roots(params: ModelParams, reference_state: np.ndarray) -> Ze
     """Zero roots of the transfer eigenstate continuously connected to a reference.
 
     Works at nonzero inhomogeneities, where no Hamiltonian exists: t(u*) is
-    diagonalized directly, the eigencolumn of largest overlap with the
-    reference vector is selected, and Λ(u) is evaluated with the matching
-    left eigenvector.
+    diagonalized on the whole quantum space, and the unit eigenvector of
+    largest overlap with the reference vector goes through state_zero_roots,
+    eigen-residual certificate included.  The t(u) commute, so that vector
+    is an eigenvector of every t(u) and its Rayleigh quotient is Λ(u).
     """
-    t_star = transfer_matrix(DEGENERACY_RESOLVE_POINT, params)
-    _, vecs = np.linalg.eig(t_star)
-    left = np.linalg.inv(vecs)
     ref = np.asarray(reference_state, dtype=complex)
-    overlaps = np.abs(ref.conj() @ vecs) / np.linalg.norm(vecs, axis=0)
-    k = int(np.argmax(overlaps))
-    v = vecs[:, k]
-    w = left[k, :]
-    norm = complex(w @ v)
-    curve = lambda us: (_transfer_rows(us, params, v) @ w) / norm
-
-    pts = chebyshev_sample_points(params.two_n)
-    poly = fit_lambda_polynomial(pts, curve(pts), params.two_n)
-    return _zero_roots(poly, curve, POLISH_STEPS)
+    basis = np.eye(2 ** params.two_n, dtype=complex)
+    vectors = _transfer_eigenvectors(basis, params)
+    return state_zero_roots(max(vectors, key=lambda v: abs(np.vdot(ref, v))), params)
 
 
 def inversion_identity_check(roots: ZeroRootSet, params: ModelParams, j: int) -> float:

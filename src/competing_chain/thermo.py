@@ -124,8 +124,17 @@ def _gauss_panels(f, a, b, panels):
     return total
 
 
-def _cutoff(decay: float, spec: QuadratureSpec, amplitude: float = 1.0):
-    """(k_max, tail bound) for an integrand bounded by amplitude·e^{-decay k}."""
+def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
+                       amplitude: float = 1.0, omega: float | None = None):
+    """(2 ∫_0^∞ f(k) dk, error estimate) for an even integrand's half line.
+
+    decay is a lower bound on the analytic decay rate (|f| <= A e^{-decay k}
+    eventually, A = max(|amplitude|, 1)); the cutoff is chosen so the tail
+    bound stays below abs_tol/10 and is added to the reported error
+    estimate.  With omega the integral is 2 ∫_0^∞ f(k) cos(ωk) dk by
+    QUADPACK's cosine-weighted rule, which integrates the oscillation
+    exactly and samples only f, whatever the spec's method.
+    """
     if decay <= 0:
         raise QuadratureError("need a positive analytic decay rate for the tail bound")
     amp = max(abs(amplitude), 1.0)
@@ -133,10 +142,21 @@ def _cutoff(decay: float, spec: QuadratureSpec, amplitude: float = 1.0):
     if k_max is None:
         k_max = math.log(10.0 * amp / (decay * spec.abs_tol * 0.1)) / decay
         k_max = max(k_max, 10.0)
-    return k_max, amp * math.exp(-decay * k_max) / decay
-
-
-def _certified(value: float, err: float, tail: float, spec: QuadratureSpec):
+    tail = amp * math.exp(-decay * k_max) / decay
+    if spec.method == "gauss" and omega is None:
+        panels = max(16, int(2 * k_max))
+        value = _gauss_panels(f, 0.0, k_max, panels)
+        err = tail  # GL panels of unit width resolve these analytic integrands
+    else:
+        weight = {} if omega is None else {"weight": "cos", "wvar": abs(omega)}
+        # A float integrand evaluated in math overflows or divides by zero
+        # with a Python exception instead of numpy's inf/nan; either is
+        # reported as the QuadratureError raised below for a non-finite result.
+        try:
+            value, err = quad(f, 0.0, k_max, epsabs=0.25 * spec.abs_tol, epsrel=1e-13,
+                              limit=QUAD_LIMIT, **weight)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise QuadratureError(f"non-finite integrand on [0, {k_max:g}]: {exc}") from exc
     est = 2.0 * abs(err) + 2.0 * tail
     if not (math.isfinite(value) and math.isfinite(est)):
         raise QuadratureError(f"non-finite quadrature result {value!r} (estimate {est!r})")
@@ -144,46 +164,6 @@ def _certified(value: float, err: float, tail: float, spec: QuadratureSpec):
         raise QuadratureError(
             f"estimated error {est:.3e} above abs_tol {spec.abs_tol:.1e}")
     return 2.0 * value, est
-
-
-def _adaptive(f, k_max: float, spec: QuadratureSpec, **weight):
-    """QUADPACK (value, error) of f on [0, k_max].
-
-    A float integrand evaluated in math overflows or divides by zero with a
-    Python exception instead of numpy's inf/nan; either is reported as the
-    QuadratureError that _certified raises for a non-finite result.
-    """
-    try:
-        return quad(f, 0.0, k_max, epsabs=0.25 * spec.abs_tol, epsrel=1e-13,
-                    limit=QUAD_LIMIT, **weight)
-    except (OverflowError, ZeroDivisionError) as exc:
-        raise QuadratureError(f"non-finite integrand on [0, {k_max:g}]: {exc}") from exc
-
-
-def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
-                       amplitude: float = 1.0):
-    """(2 ∫_0^∞ f(k) dk, error estimate) for an even integrand's half line.
-
-    decay is a lower bound on the analytic decay rate (|f| <= A e^{-decay k}
-    eventually); the cutoff is chosen so the tail bound stays below
-    abs_tol/10 and is added to the reported error estimate.
-    """
-    k_max, tail = _cutoff(decay, spec, amplitude)
-    if spec.method == "gauss":
-        panels = max(16, int(2 * k_max))
-        value = _gauss_panels(f, 0.0, k_max, panels)
-        err = tail  # GL panels of unit width resolve these analytic integrands
-    else:
-        value, err = _adaptive(f, k_max, spec)
-    return _certified(value, err, tail, spec)
-
-
-def _cosine_half_line_integral(g, omega: float, decay: float, spec: QuadratureSpec):
-    """(2 ∫_0^∞ g(k) cos(ωk) dk, error estimate) by QUADPACK's cosine-weighted
-    rule, which integrates the oscillation exactly and samples only g."""
-    k_max, tail = _cutoff(decay, spec)
-    value, err = _adaptive(g, k_max, spec, weight="cos", wvar=abs(omega))
-    return _certified(value, err, tail, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +345,7 @@ def _bulk_excitation(z_bar: float, params: ModelParams, spec: QuadratureSpec):
     else:
         part = replace(spec, abs_tol=0.5 * spec.abs_tol)
         (v_plus, err_plus), (v_minus, err_minus) = (
-            _cosine_half_line_integral(envelope, omega, 0.5, part)
+            half_line_integral(envelope, 0.5, part, omega=omega)
             for omega in (ab + z_bar, ab - z_bar))
         value, err = v_plus + v_minus, err_plus + err_minus
     rational = (1.0 / ((z_bar + ab) ** 2 + 0.25)

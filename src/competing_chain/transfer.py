@@ -52,7 +52,7 @@ def _site_shift_sign(j: int, reflected: bool) -> int:
 
 
 def monodromy(u, params: ModelParams, reflected: bool = False,
-              derivative: bool = False, max_dim: int = MAX_DIM):
+              derivative: bool = False):
     """Dense monodromy matrix on auxiliary ⊗ quantum space.
 
     With derivative=True, returns (T, dT/du) computed by the exact product
@@ -60,8 +60,8 @@ def monodromy(u, params: ModelParams, reflected: bool = False,
     """
     two_n = params.two_n
     dim = 2 ** (two_n + 1)
-    if dim > max_dim:
-        raise SizeError(f"monodromy dimension {dim} exceeds cap {max_dim}")
+    if dim > MAX_DIM:
+        raise SizeError(f"monodromy dimension {dim} exceeds cap {MAX_DIM}")
     shifts = params.a + params.thetas  # a + theta_j
     sites = range(two_n, 0, -1) if reflected else range(1, two_n + 1)
 

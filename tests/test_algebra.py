@@ -26,7 +26,7 @@ def test_kron_square_oracle():
 
 def test_kron_size_cap():
     with pytest.raises(SizeError):
-        kron(np.eye(128), np.eye(128), max_dim=2 ** 13)
+        kron(np.eye(128), np.eye(128))
 
 
 def test_permutation_swaps_basis():

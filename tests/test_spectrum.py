@@ -17,6 +17,7 @@ from competing_chain import spectrum
 from competing_chain.spectrum import SpectralPolynomial, _sorted_roots
 from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.errors import DegeneracyError, FitError
+from competing_chain.transfer import transfer_matrix
 
 
 def test_trace_identity(params_small):
@@ -192,13 +193,41 @@ def test_inversion_identity_homogeneous(params_fig4):
         assert inversion_identity_check(roots, params_fig4, j) <= 1e-6
 
 
-def test_inversion_identity_inhomogeneous():
+def test_inversion_identity_inhomogeneous(regime_points):
     prof = default_spread_profile(8, scale=0.1)
-    pr = ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2, theta_bar=prof)
-    hom_gs = diagonalize(pr.at_homogeneous_point())[0]
-    roots = transfer_state_roots(pr, hom_gs.state)
-    for j in range(1, 9):
-        assert inversion_identity_check(roots, pr, j) <= 1e-6
+    for p, q_bar in regime_points.values():
+        pr = ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2, theta_bar=prof)
+        hom_gs = diagonalize(pr.at_homogeneous_point())[0]
+        roots = transfer_state_roots(pr, hom_gs.state)
+        for j in range(1, 9):
+            assert inversion_identity_check(roots, pr, j) <= 1e-6
+
+
+def test_transfer_state_roots_samples_the_selected_unit_eigenvector(monkeypatch):
+    # the inhomogeneous state goes through lambda_samples (and its certificate)
+    # as the unit eigenvector of t(u*) of largest overlap with the reference
+    prof = default_spread_profile(6, scale=0.1)
+    pr = ModelParams.from_q_bar(6, 0.66, 1.2, 0.7, 1.2, theta_bar=prof)
+    ref = diagonalize(pr.at_homogeneous_point())[0].state
+    sampled = []
+
+    def spy(state, *args):
+        sampled.append(np.array(state))
+        return lambda_samples(state, *args)
+
+    monkeypatch.setattr(spectrum, "lambda_samples", spy)
+    transfer_state_roots(pr, ref)
+    assert len(sampled) == 1
+    v = sampled[0]
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    u = spectrum.DEGENERACY_RESOLVE_POINT
+    tv = apply_transfer(u, pr, v)
+    lam = np.vdot(v, tv)
+    assert np.linalg.norm(tv - lam * v) <= 1e-10 * abs(lam)
+    _, vecs = np.linalg.eig(transfer_matrix(u, pr))
+    overlaps = np.abs(ref.conj() @ vecs) / np.linalg.norm(vecs, axis=0)
+    assert abs(np.vdot(ref, v)) == pytest.approx(overlaps.max(), abs=1e-10)
+    assert np.sort(overlaps)[-2] < overlaps.max() - 1e-3
 
 
 def test_inversion_identity_negative_control(params_fig4):

@@ -396,6 +396,20 @@ def test_bulk_excitation_adaptive_matches_gauss(a_bar, z_bar, tol):
     assert abs(adaptive - gauss) <= tol
 
 
+def test_adaptive_bulk_excitation_uses_the_one_quadrature_entry(monkeypatch):
+    # the two cosine-weighted integrals go through half_line_integral
+    calls = []
+    integral = thermo.half_line_integral
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("omega"))
+        return integral(*args, **kwargs)
+    monkeypatch.setattr(thermo, "half_line_integral", counted)
+    pr = _pr(a_bar=0.8)
+    bulk_excitation_energy(1.3, pr, QuadratureSpec())
+    assert calls == [pytest.approx(2.1), pytest.approx(-0.5)]
+
+
 def test_bulk_excitation_peaks():
     grid = np.linspace(-4.0, 4.0, 161)
     vals0 = np.array([bulk_excitation_energy(z, _pr(a_bar=0.0)) for z in grid])

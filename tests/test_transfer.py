@@ -37,9 +37,10 @@ def test_monodromy_derivative_matches_finite_difference(params_small):
 
 
 def test_monodromy_size_cap():
-    pr = ModelParams(two_n=12, a_bar=0.1, p=1.0, q=1.0)
+    # dim 2^15 > MAX_DIM; the cap is checked before anything is allocated
+    pr = ModelParams(two_n=14, a_bar=0.1, p=1.0, q=1.0)
     with pytest.raises(SizeError):
-        monodromy(0.1, pr, max_dim=2 ** 12)
+        monodromy(0.1, pr)
 
 
 def test_transfer_commutativity():

@@ -3,7 +3,10 @@
 Runs README's command-line examples (the list that
 ``tests/test_cli.py::readme_commands`` parses, in README order and in one
 directory, so ``classify`` reads the file ``bae`` writes) and then
-``ed --two-n 10 --states 8``, all inside a temporary directory.  Each
+``ed --two-n 10 --states 8`` and ``ed --two-n 4 --states 16 --out
+degenerate`` (the default parameters, whose spectrum has three degenerate
+pairs; its own file prefix keeps the 2N=10 files), all inside a temporary
+directory.  Each
 command's standard output and standard error are saved beside the files it
 writes.  Prints one ``sha256  file`` line per file, sorted by name, so two
 trees that compute the same numbers print the same list.
@@ -27,7 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-EXTRA_COMMANDS = ["competing-chain ed --two-n 10 --states 8"]
+EXTRA_COMMANDS = ["competing-chain ed --two-n 10 --states 8",
+                  "competing-chain ed --two-n 4 --states 16 --out degenerate"]
 
 
 def _readme_commands() -> list:
