@@ -427,15 +427,19 @@ def _reduced_jacobian(stage: _Stage, z_map: np.ndarray, y: np.ndarray, z: np.nda
 
 
 def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
-                  max_iter: int, history: list) -> _Pattern:
+                  max_iter: int, history: list, stage_cache: dict) -> _Pattern:
     """Damped Gauss-Newton at one θ̄ stage.
 
     Line-search trials evaluate the residual only; the Jacobian is built at
     the trial the Armijo test accepts, and a non-finite one rejects it.  The
     stage's counts and wall time go to the module logger at DEBUG level.
+    stage_cache maps θ̄ to its _Stage at the other parameters of params; a
+    missing stage is built and stored.
     """
     start = time.perf_counter()
-    stage = _Stage.of(params)
+    stage = stage_cache.get(params.theta_bar)
+    if stage is None:
+        stage = stage_cache[params.theta_bar] = _Stage.of(params)
     z_map = pattern.z_map()
     y = pattern.encode()
     iterations, residual_evals, jacobian_evals = 0, 1, 1
@@ -567,6 +571,7 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
 
     found: list = []  # (surrogate energy, roots)
     last_error: Exception | None = None
+    stage_cache: dict = {}  # θ̄ -> _Stage: attempts revisit the same θ̄ lists
     for start_pattern, stages in attempts:
         trial = start_pattern
         history: list = []
@@ -574,7 +579,8 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
             for theta in stages:
                 stage_params = params.with_theta_bar(theta)
                 trial = _gauss_newton(trial, stage_params, tol=tol / 10.0,
-                                      max_iter=max_iter, history=history)
+                                      max_iter=max_iter, history=history,
+                                      stage_cache=stage_cache)
             roots = trial.root_set(params.two_n)
             raw = np.max(np.abs(bae_residual(roots, params)))
             if raw > tol:

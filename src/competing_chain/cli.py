@@ -72,8 +72,25 @@ def _emit(text: str, out_path) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool):
+def _identity_samples():
+    """verify's seeded samples, drawn one point at a time in a fixed order.
+
+    Returns the Yang–Baxter points (u1, u2, u3), the reflection points
+    (λ, u) and the boundary parameters (p, q, ξ), each as rows of
+    VERIFY_SAMPLES values.
+    """
     rng = np.random.default_rng(20240801)
+    yb = [rng.uniform(-5, 5, 3) + 1j * rng.uniform(-5, 5, 3) for _ in range(VERIFY_SAMPLES)]
+    spectral, boundary = [], []
+    for _ in range(VERIFY_SAMPLES):
+        # moderate spectral points keep the absolute max-norm thresholds
+        # meaningful (entries grow like the fourth power of the arguments)
+        spectral.append(rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1.5, 1.5, 2))
+        boundary.append(rng.uniform(-3, 3, 3))
+    return np.array(yb).T, np.array(spectral).T, np.array(boundary).T
+
+
+def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool):
     checks = []
 
     def add(name, residual, threshold):
@@ -84,24 +101,11 @@ def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool):
             "pass": bool(residual <= threshold),
         })
 
-    worst = 0.0
-    for _ in range(VERIFY_SAMPLES):
-        u = rng.uniform(-5, 5, 3) + 1j * rng.uniform(-5, 5, 3)
-        worst = max(worst, algebra.yang_baxter_residual(*u))
-    add("yang_baxter", worst, 1e-12 * tol_scale)
-
-    worst_re = 0.0
-    worst_dre = 0.0
-    for _ in range(VERIFY_SAMPLES):
-        # moderate spectral points keep the absolute max-norm thresholds
-        # meaningful (entries grow like the fourth power of the arguments)
-        lam, u = rng.uniform(-1.5, 1.5, 2) + 1j * rng.uniform(-1.5, 1.5, 2)
-        pb, qb, xib = rng.uniform(-3, 3, 3)
-        worst_re = max(worst_re, algebra.reflection_residual(lam, u, p=pb))
-        worst_dre = max(worst_dre, algebra.reflection_residual(
-            lam, u, dual=True, q=qb, xi=xib))
-    add("reflection", worst_re, 1e-12 * tol_scale)
-    add("dual_reflection", worst_dre, 1e-12 * tol_scale)
+    yb, (lam, u), (pb, qb, xib) = _identity_samples()
+    add("yang_baxter", np.max(algebra.yang_baxter_residual(*yb)), 1e-12 * tol_scale)
+    add("reflection", np.max(algebra.reflection_residual(lam, u, p=pb)), 1e-12 * tol_scale)
+    add("dual_reflection", np.max(algebra.reflection_residual(lam, u, dual=True, q=qb, xi=xib)),
+        1e-12 * tol_scale)
 
     h = hamiltonian_direct(params)
     add("hamiltonian_hermitian", algebra.max_norm(h - h.conj().T), 1e-12 * tol_scale)

@@ -46,7 +46,7 @@ DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
 ROOT_ZERO_TOL = 1e-12
 POLISH_STEPS = 2
-HERM_TOL = 1e-12          # hermiticity defect of H, relative to max(1, |H|)
+HERM_TOL = 1e-12          # hermiticity defect of H and t(u*), relative to max(1, |m|)
 DEGENERACY_GAP = 1e-9     # level spacing, relative to the spectral scale
 VAR_TOL = 1e-8            # squared eigen-residual of t(u) v, relative to |Λ|^2
 COND_THRESHOLD = 1e12     # largest Chebyshev-Vandermonde condition number
@@ -145,9 +145,7 @@ def diagonalize(params: ModelParams) -> list:
     degenerate block, so Rayleigh quotients of t(u) are well defined.
     """
     h = hamiltonian_direct(params)
-    defect = max_norm(h - h.conj().T)
-    if defect > HERM_TOL * max(1.0, max_norm(h)):
-        raise ConsistencyError(f"Hamiltonian hermiticity defect {defect:.3e}")
+    _certify_hermitian(h, "Hamiltonian")
     energies, vectors = np.linalg.eigh(h)
     states = np.ascontiguousarray(vectors.T)
     pairs = [EigenPair(float(e), state) for e, state in zip(energies, states)]
@@ -169,23 +167,30 @@ def _resolve_degenerate_blocks(pairs, params):
         i = j
 
 
+def _certify_hermitian(m: np.ndarray, name: str) -> None:
+    """ConsistencyError unless m is hermitian to HERM_TOL relative to max(1, |m|)."""
+    defect = max_norm(m - m.conj().T)
+    if defect > HERM_TOL * max(1.0, max_norm(m)):
+        raise ConsistencyError(f"{name} hermiticity defect {defect:.3e}")
+
+
 def _transfer_eigenvectors(basis: np.ndarray, params: ModelParams) -> list:
-    """Unit eigenvectors of t(u*) inside the span of orthonormal basis columns.
+    """Orthonormal eigenvectors of t(u*) inside the span of orthonormal basis columns.
 
     t(u*) at u* = DEGENERACY_RESOLVE_POINT is applied to every column in one
-    batched pass, projected onto the basis and diagonalized.  Each
-    eigenvector is normalised by its own ``norm`` call: ``norm(axis=0)``
-    over the block rounds differently.
+    batched pass and projected onto the basis.  At real u the shifts
+    ±(a + θ_j) are imaginary, so T0(u)^† = T̂0(u), and with K^± real
+    symmetric t(u) is hermitian (notes/decisions.md).  The projection is
+    certified hermitian and diagonalized with eigh, whose eigenvectors are
+    orthonormal.  Each is still divided by its own ``norm`` (``norm(axis=0)``
+    over the block rounds differently), which keeps the ``ed`` files of
+    degenerate levels at their recorded digests (notes/decisions.md).
     """
     tv = apply_transfer(np.full(basis.shape[1], DEGENERACY_RESOLVE_POINT), params, basis.T).T
-    _, w = np.linalg.eig(basis.conj().T @ tv)
-    vectors = []
-    for v in (basis @ w).T:
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise DegeneracyError("degenerate block produced a null vector")
-        vectors.append(v / nrm)
-    return vectors
+    projected = basis.conj().T @ tv
+    _certify_hermitian(projected, "projected t(u*)")
+    _, w = np.linalg.eigh(projected)
+    return [v / np.linalg.norm(v) for v in (basis @ w).T]
 
 
 # ---------------------------------------------------------------------------

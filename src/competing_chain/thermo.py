@@ -32,7 +32,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergenceError, DomainError, QuadratureError
 from .params import ModelParams, c0_constant
@@ -148,6 +147,10 @@ def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
         value = _gauss_panels(f, 0.0, k_max, panels)
         err = tail  # GL panels of unit width resolve these analytic integrands
     else:
+        # imported here: loading scipy.integrate costs ~0.7 s, which the
+        # commands that integrate nothing (verify, ed, bae, classify) skip
+        from scipy.integrate import quad
+
         weight = {} if omega is None else {"weight": "cos", "wvar": abs(omega)}
         # A float integrand evaluated in math overflows or divides by zero
         # with a Python exception instead of numpy's inf/nan; either is

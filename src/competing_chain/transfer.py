@@ -15,6 +15,11 @@ auxiliary bit slowest.  A factor R_{0,j}(v) = v + P_{0,j} is applied as
 v·m plus a strided, axis-swapped view of m's rows, accumulated in place, so
 neither a matrix product nor a copy of P_{0,j} m is formed and the
 construction stays O(2N · dim^2).
+
+One kernel (_transfer_jet) carries a block of quantum vectors through
+K+ T0 K- T̂0 and the auxiliary trace: apply_transfer feeds it the vectors,
+transfer_matrix the columns of the identity, and transfer_and_derivative
+the identity with the product-rule derivative block alongside.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .errors import EvaluationError, ParameterError, SizeError
 from .params import ModelParams, c0_constant, c2_constant
 
 MAX_DIM = 2 ** 13
+CACHE_BYTES = 2 ** 21     # per-core L2 cache of the 2-core x86-64 reference host
 
 
 def _apply_factor(m: np.ndarray, v, j: int, two_n: int, carry=None) -> np.ndarray:
@@ -51,6 +57,30 @@ def _site_shift_sign(j: int, reflected: bool) -> int:
     return -sgn if reflected else sgn
 
 
+def _dense_dim(params: ModelParams) -> int:
+    """Dimension 2^{2N+1} of auxiliary ⊗ quantum space, checked against MAX_DIM."""
+    dim = 2 ** (params.two_n + 1)
+    if dim > MAX_DIM:
+        raise SizeError(f"dense operator dimension {dim} exceeds cap {MAX_DIM}")
+    return dim
+
+
+def _apply_monodromy(m: np.ndarray, dm, u, params: ModelParams, reflected: bool):
+    """(T(u) m, d/du of T(u) m) for a block m, factor by factor.
+
+    dm is the derivative block of m, or None to skip the derivative.
+    """
+    two_n = params.two_n
+    shifts = params.a + params.thetas  # a + theta_j
+    sites = range(two_n, 0, -1) if reflected else range(1, two_n + 1)
+    for j in sites:
+        v = u + _site_shift_sign(j, reflected) * shifts[j - 1]
+        if dm is not None:
+            dm = _apply_factor(dm, v, j, two_n, carry=m)
+        m = _apply_factor(m, v, j, two_n)
+    return m, dm
+
+
 def monodromy(u, params: ModelParams, reflected: bool = False,
               derivative: bool = False):
     """Dense monodromy matrix on auxiliary ⊗ quantum space.
@@ -58,20 +88,9 @@ def monodromy(u, params: ModelParams, reflected: bool = False,
     With derivative=True, returns (T, dT/du) computed by the exact product
     rule along the factor sequence.
     """
-    two_n = params.two_n
-    dim = 2 ** (two_n + 1)
-    if dim > MAX_DIM:
-        raise SizeError(f"monodromy dimension {dim} exceeds cap {MAX_DIM}")
-    shifts = params.a + params.thetas  # a + theta_j
-    sites = range(two_n, 0, -1) if reflected else range(1, two_n + 1)
-
-    m = np.eye(dim, dtype=complex)
+    dim = _dense_dim(params)
     dm = np.zeros((dim, dim), dtype=complex) if derivative else None
-    for j in sites:
-        v = u + _site_shift_sign(j, reflected) * shifts[j - 1]
-        if derivative:
-            dm = _apply_factor(dm, v, j, two_n, carry=m)
-        m = _apply_factor(m, v, j, two_n)
+    m, dm = _apply_monodromy(np.eye(dim, dtype=complex), dm, u, params, reflected)
     return (m, dm) if derivative else m
 
 
@@ -79,52 +98,95 @@ def _k_plus_slope(params: ModelParams) -> np.ndarray:
     return np.array([[1.0, params.xi], [params.xi, -1.0]], dtype=complex)
 
 
-_K_MINUS_SLOPE = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def _aux_contract(a4: np.ndarray, b4: np.ndarray) -> np.ndarray:
-    """tr_0 of the product of two aux ⊗ quantum operators given as 4-blocks."""
-    q = a4.shape[1]
-    out = np.zeros((q, q), dtype=complex)
+def _aux_trace(k: np.ndarray, w4: np.ndarray) -> np.ndarray:
+    """tr_0 (K ⊗ 1) W for a (2, q, 2, n) block W whose columns carry the trace index."""
+    out = np.zeros((w4.shape[1], w4.shape[3]), dtype=complex)
     for alpha in range(2):
-        for beta in range(2):
-            out += a4[alpha, :, beta, :] @ b4[beta, :, alpha, :]
+        out += k[alpha, 0] * w4[0, :, alpha] + k[alpha, 1] * w4[1, :, alpha]
     return out
 
 
-def _as_blocks(m: np.ndarray) -> np.ndarray:
-    q = m.shape[0] // 2
-    return m.reshape(2, q, 2, q)
+def _transfer_jet(u, params: ModelParams, cols: np.ndarray, derivative: bool = False):
+    """Columns t(u) @ cols, and with derivative=True also t'(u) @ cols.
+
+    cols is a (2^{2N}, n) block and u a scalar or n points, one per column.
+    Each factor streams the working block (and its derivative block)
+    through memory.  A block larger than CACHE_BYTES runs in chunks of
+    columns whose blocks fill a quarter of it, which leaves room for each
+    factor's output; every column is computed on its own, so the chunks do
+    not change a bit of the result.
+    """
+    qdim, n = cols.shape
+    column_bytes = 64 * qdim * (2 if derivative else 1)  # 2 aux x 2 trace rows x 16 B
+    if n * column_bytes <= CACHE_BYTES:
+        return _jet_block(u, params, cols, derivative)
+    step = max(1, CACHE_BYTES // 4 // column_bytes)
+    t = np.empty((qdim, n), dtype=complex)
+    dt = np.empty_like(t) if derivative else None
+    for k in range(0, n, step):
+        chunk = slice(k, k + step)
+        block = _jet_block(u if np.ndim(u) == 0 else u[chunk], params, cols[:, chunk],
+                           derivative)
+        if derivative:
+            t[:, chunk], dt[:, chunk] = block
+        else:
+            t[:, chunk] = block
+    return (t, dt) if derivative else t
 
 
-def _apply_aux(k2: np.ndarray, m4: np.ndarray) -> np.ndarray:
-    return np.einsum("ac,cibj->aibj", k2, m4)
+def _jet_block(u, params: ModelParams, cols: np.ndarray, derivative: bool):
+    """_transfer_jet on one chunk of columns.
+
+    Column (α, k) of the working block starts as e_α ⊗ cols[:, k], goes
+    through the reflected monodromy, K^-, the monodromy and K^+, and the
+    trace pairs its auxiliary row with α.  The derivative block follows the
+    product rule of every factor: the R-factors through _apply_factor, as in
+    monodromy, and K^-' = diag(1, -1) and K^+' at the two boundaries.
+    """
+    qdim, n = cols.shape
+    # rows: auxiliary ⊗ quantum; columns: (trace index alpha, column k)
+    w = np.zeros((2, qdim, 2, n), dtype=complex)
+    for alpha in range(2):
+        w[alpha, :, alpha, :] = cols
+    w = w.reshape(2 * qdim, 2, n)
+    dw = np.zeros_like(w) if derivative else None
+    w, dw = _apply_monodromy(w, dw, u, params, reflected=True)
+    km = k_minus(u, params.p)
+    w4 = w.reshape(2, qdim, 2, n)
+    if derivative:
+        dw4 = dw.reshape(2, qdim, 2, n)
+        dw4[0] *= km[0, 0]
+        dw4[0] += w4[0]
+        dw4[1] *= km[1, 1]
+        dw4[1] -= w4[1]
+    w4[0] *= km[0, 0]
+    w4[1] *= km[1, 1]
+    w, dw = _apply_monodromy(w, dw, u, params, reflected=False)
+    kp = k_plus(u, params.q, params.xi)
+    w4 = w.reshape(2, qdim, 2, n)
+    t = _aux_trace(kp, w4)
+    if not derivative:
+        return t
+    return t, _aux_trace(_k_plus_slope(params), w4) + _aux_trace(kp, dw.reshape(2, qdim, 2, n))
+
+
+def _identity_columns(params: ModelParams) -> np.ndarray:
+    """Identity of the quantum space; the dense operators it builds obey MAX_DIM."""
+    _dense_dim(params)
+    return np.eye(2 ** params.two_n, dtype=complex)
 
 
 def transfer_matrix(u, params: ModelParams) -> np.ndarray:
-    """Dense transfer matrix t(u) on the 2^{2N}-dimensional quantum space."""
-    t0 = _as_blocks(monodromy(u, params))
-    th = _as_blocks(monodromy(u, params, reflected=True))
-    a4 = _apply_aux(k_plus(u, params.q, params.xi), t0)
-    b4 = _apply_aux(k_minus(u, params.p), th)
-    return _aux_contract(a4, b4)
+    """Dense transfer matrix t(u) on the 2^{2N}-dimensional quantum space.
+
+    The matrix-free kernel applied to the columns of the identity.
+    """
+    return _transfer_jet(u, params, _identity_columns(params))
 
 
 def transfer_and_derivative(u, params: ModelParams):
     """(t(u), t'(u)) with the derivative taken by the exact product rule."""
-    m0, dm0 = monodromy(u, params, derivative=True)
-    mh, dmh = monodromy(u, params, reflected=True, derivative=True)
-    t0, dt0 = _as_blocks(m0), _as_blocks(dm0)
-    th, dth = _as_blocks(mh), _as_blocks(dmh)
-    kp = k_plus(u, params.q, params.xi)
-    km = k_minus(u, params.p)
-    a4 = _apply_aux(kp, t0)
-    da4 = _apply_aux(_k_plus_slope(params), t0) + _apply_aux(kp, dt0)
-    b4 = _apply_aux(km, th)
-    db4 = _apply_aux(_K_MINUS_SLOPE, th) + _apply_aux(km, dth)
-    t = _aux_contract(a4, b4)
-    dt = _aux_contract(da4, b4) + _aux_contract(a4, db4)
-    return t, dt
+    return _transfer_jet(u, params, _identity_columns(params), derivative=True)
 
 
 def crossing_residual(u, params: ModelParams) -> float:
@@ -206,8 +268,7 @@ def apply_transfer(u, params: ModelParams, vec: np.ndarray) -> np.ndarray:
     1-D array of n points takes an (n, 2^{2N}) batch and returns the rows
     t(u_k) @ vec_k, with every point and both auxiliary traces in one pass.
     """
-    two_n = params.two_n
-    qdim = 2 ** two_n
+    qdim = 2 ** params.two_n
     batched = np.ndim(u) > 0
     us = np.atleast_1d(np.asarray(u, dtype=complex))
     vecs = np.asarray(vec, dtype=complex)
@@ -217,26 +278,5 @@ def apply_transfer(u, params: ModelParams, vec: np.ndarray) -> np.ndarray:
     if us.ndim != 1 or vecs.shape != (n, qdim):
         raise ValueError(f"vectors of shape {vecs.shape} do not match {n} points "
                          f"on dimension {qdim}")
-    shifts = params.a + params.thetas
-    # rows: auxiliary ⊗ quantum; columns: (trace index alpha, point k)
-    w = np.zeros((2, qdim, 2, n), dtype=complex)
-    for alpha in range(2):
-        w[alpha, :, alpha, :] = vecs.T
-    w = w.reshape(2 * qdim, 2, n)
-    for j in range(two_n, 0, -1):  # reflected monodromy, rightmost factor first
-        v = us + _site_shift_sign(j, reflected=True) * shifts[j - 1]
-        w = _apply_factor(w, v, j, two_n)
-    km = k_minus(us, params.p)
-    w = w.reshape(2, qdim, 2, n)
-    w[0] *= km[0, 0]
-    w[1] *= km[1, 1]
-    w = w.reshape(2 * qdim, 2, n)
-    for j in range(1, two_n + 1):
-        v = us + _site_shift_sign(j, reflected=False) * shifts[j - 1]
-        w = _apply_factor(w, v, j, two_n)
-    kp = k_plus(us, params.q, params.xi)
-    w = w.reshape(2, qdim, 2, n)
-    out = np.zeros((qdim, n), dtype=complex)
-    for alpha in range(2):
-        out += kp[alpha, 0] * w[0, :, alpha] + kp[alpha, 1] * w[1, :, alpha]
+    out = _transfer_jet(us, params, vecs.T)
     return out.T if batched else out[:, 0]

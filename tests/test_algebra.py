@@ -5,6 +5,7 @@ from competing_chain import (kron, max_norm, permutation_operator, r_matrix,
                              k_minus, k_plus, yang_baxter_residual,
                              reflection_residual)
 from competing_chain.algebra import SIGMA_X
+from competing_chain.cli import _identity_samples
 from competing_chain.errors import SizeError
 
 
@@ -91,3 +92,18 @@ def test_random_residual_properties(rng):
         p, q, xi = rng.uniform(-3, 3, 3)
         assert reflection_residual(lam, v, p=p) <= 1e-12
         assert reflection_residual(lam, v, dual=True, q=q, xi=xi) <= 1e-12
+
+
+def test_stacked_residuals_equal_the_per_sample_loop():
+    # verify's seeded samples, evaluated as (K, 8, 8) stacks, give each
+    # sample's residual bit for bit
+    yb, (lam, u), (p, q, xi) = _identity_samples()
+    assert np.array_equal(yang_baxter_residual(*yb),
+                          [yang_baxter_residual(*point) for point in yb.T])
+    assert np.array_equal(reflection_residual(lam, u, p=p),
+                          [reflection_residual(*s) for s in zip(lam, u, p)])
+    assert np.array_equal(
+        reflection_residual(lam, u, dual=True, q=q, xi=xi),
+        [reflection_residual(a, b, dual=True, q=c, xi=d) for a, b, c, d in zip(lam, u, q, xi)])
+    assert isinstance(yang_baxter_residual(*yb[:, 0]), float)
+    assert isinstance(reflection_residual(lam[0], u[0], p=p[0]), float)

@@ -363,7 +363,7 @@ def test_non_finite_jacobian_rejects_an_accepted_trial(monkeypatch, params_fig4)
         return None if len(points) == 2 else jacobian(stage, z_map, y, z)
 
     monkeypatch.setattr(bae, "_reduced_jacobian", refuse_first_trial)
-    bae._gauss_newton(pattern, pr, tol=1e-11, max_iter=200, history=[])
+    bae._gauss_newton(pattern, pr, tol=1e-11, max_iter=200, history=[], stage_cache={})
     y0, first, second = points[:3]
     assert np.allclose(second - y0, 0.5 * (first - y0), rtol=0, atol=1e-15)
 
@@ -403,6 +403,28 @@ def test_gauss_newton_stages_log_their_counts_at_debug(caplog, regime_points):
     for s in stages:
         assert s["jacobian_evals"] <= s["iterations"] + 1 <= s["residual_evals"]
         assert math.isfinite(s["seconds"]) and s["seconds"] >= 0.0
+
+
+def test_solve_bae_builds_each_stage_once(monkeypatch, regime_points):
+    # the β-seed variants walk the same θ̄ list: one _Stage per distinct θ̄
+    visited, built = [], []
+    gauss_newton, stage_of = bae._gauss_newton, bae._Stage.of.__func__
+
+    def record_stage(pattern, params, **kwargs):
+        visited.append(params.theta_bar)
+        return gauss_newton(pattern, params, **kwargs)
+
+    def record_build(cls, params):
+        built.append(params.theta_bar)
+        return stage_of(cls, params)
+
+    monkeypatch.setattr(bae, "_gauss_newton", record_stage)
+    monkeypatch.setattr(bae._Stage, "of", classmethod(record_build))
+    p, qb = regime_points["II"]
+    pr = ModelParams.from_q_bar(8, 0.66, p, qb, 1.2)
+    solve_bae(seed_roots("II", pr), pr, homotopy=3)
+    assert len(visited) > len(set(visited))
+    assert sorted(built) == sorted(set(visited))
 
 
 def test_solve_bae_classifies_its_seed_once(monkeypatch, params_fig4):

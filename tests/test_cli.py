@@ -1,8 +1,10 @@
 import json
+import os
 import pathlib
 import shlex
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +264,22 @@ def test_console_script_entry_point():
     done = subprocess.run(["competing-chain", "--help"], capture_output=True, text=True)
     assert done.returncode == 0
     assert "verify" in done.stdout
+
+
+def test_commands_that_integrate_nothing_skip_scipy_integrate():
+    # thermo imports QUADPACK where it integrates, so importing the package
+    # and running verify (or ed, bae, classify) never loads scipy.integrate
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "import competing_chain\n"
+        "from competing_chain import cli\n"
+        "loaded = ['scipy.integrate' in sys.modules]\n"
+        "code = cli.main(['verify', '--two-n', '4', '--a-bar', '0.6', '--out', sys.argv[1]])\n"
+        "loaded.append('scipy.integrate' in sys.modules)\n"
+        "print(code, loaded)\n")
+    done = subprocess.run([sys.executable, "-c", script, os.devnull],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == "0 [False, False]"

@@ -16,7 +16,7 @@ from competing_chain import (ModelParams, apply_transfer, diagonalize,
 from competing_chain import spectrum
 from competing_chain.spectrum import SpectralPolynomial, _sorted_roots
 from competing_chain.bae import REGIMES, default_spread_profile
-from competing_chain.errors import DegeneracyError, FitError
+from competing_chain.errors import ConsistencyError, DegeneracyError, FitError
 from competing_chain.transfer import transfer_matrix
 
 
@@ -284,3 +284,33 @@ def test_low_states_sample_across_a_double_zero_of_lambda():
     params = ModelParams(two_n=6, a_bar=0.0, p=0.5, q=0.5, xi=0.0)
     for pair in diagonalize(params)[:40]:
         state_zero_roots(pair, params)
+
+
+def _inhomogeneous_chain(two_n):
+    prof = default_spread_profile(two_n, scale=0.1)
+    return ModelParams.from_q_bar(two_n, 0.66, 1.2, 0.7, 1.2, theta_bar=prof)
+
+
+def test_transfer_eigenvectors_are_orthonormal():
+    pr = _inhomogeneous_chain(6)
+    basis = np.eye(2 ** pr.two_n, dtype=complex)
+    v = np.column_stack(spectrum._transfer_eigenvectors(basis, pr))
+    assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-13
+    tv = apply_transfer(spectrum.DEGENERACY_RESOLVE_POINT, pr, v[:, 5])
+    lam = np.vdot(v[:, 5], tv)
+    assert np.linalg.norm(tv - lam * v[:, 5]) <= 1e-12 * abs(lam)
+
+
+def test_transfer_eigenvectors_refuse_a_non_hermitian_projection(monkeypatch):
+    # eigh reads one triangle only, so a skew part must be caught before it
+    pr = _inhomogeneous_chain(4)
+    basis = np.eye(2 ** pr.two_n, dtype=complex)
+    skew = np.triu(np.full((basis.shape[0],) * 2, 1e-6), 1)
+    skew = skew - skew.T
+
+    def perturbed(us, params, vecs):
+        return apply_transfer(us, params, vecs) + vecs @ skew.T
+
+    monkeypatch.setattr(spectrum, "apply_transfer", perturbed)
+    with pytest.raises(ConsistencyError, match="hermiticity"):
+        spectrum._transfer_eigenvectors(basis, pr)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.special import digamma
 
 from competing_chain import (ModelParams, QuadratureSpec, a_kernel, b_kernel,
@@ -176,7 +177,7 @@ def test_adaptive_ground_energy_density_calls_rho_with_floats():
 def test_adaptive_integrands_return_floats(monkeypatch, quantity):
     # QUADPACK's float argument stays a float through the integrand
     returned = []
-    quad = thermo.quad
+    quad = scipy.integrate.quad
 
     def spy(f, *args, **kwargs):
         def recorded(k):
@@ -184,7 +185,7 @@ def test_adaptive_integrands_return_floats(monkeypatch, quantity):
             returned.append((type(k), type(value)))
             return value
         return quad(recorded, *args, **kwargs)
-    monkeypatch.setattr(thermo, "quad", spy)
+    monkeypatch.setattr(scipy.integrate, "quad", spy)
     quantity(_REGIME_PARAMS["V"], QuadratureSpec())
     assert returned and set(returned) == {(float, float)}
 

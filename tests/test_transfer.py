@@ -6,7 +6,7 @@ from competing_chain import (ModelParams, hamiltonian_direct,
                              transfer_matrix, transfer_and_derivative,
                              transfer_commutator_residual, crossing_residual,
                              transfer_identity_residual, apply_transfer,
-                             a_bare, d_bare, max_norm)
+                             a_bare, d_bare, max_norm, k_minus, k_plus)
 from competing_chain import transfer
 from competing_chain.errors import ParameterError, SizeError
 
@@ -182,5 +182,77 @@ def test_strided_factor_is_bit_identical_to_the_swap_copy(chain, u, monkeypatch)
     got = _transfer_outputs(pr, u, vecs, us)
     monkeypatch.setattr(transfer, "_apply_factor", _swap_copy_factor)
     want = _transfer_outputs(pr, u, vecs, us)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _dense_transfer(u, pr):
+    """Reference (t, t') contracted from the dense monodromies.
+
+    t = tr_0 K+ T0 K- T̂0 over the auxiliary blocks, and t' by the product
+    rule over its four u-dependent factors.
+    """
+    q = 2 ** pr.two_n
+    t0, dt0 = (m.reshape(2, q, 2, q) for m in monodromy(u, pr, derivative=True))
+    th, dth = (m.reshape(2, q, 2, q) for m in monodromy(u, pr, reflected=True, derivative=True))
+    kp, km = k_plus(u, pr.q, pr.xi), k_minus(u, pr.p)
+    dkp = np.array([[1.0, pr.xi], [pr.xi, -1.0]])
+    dkm = np.diag([1.0, -1.0])
+
+    def contract(a, b, c, d):
+        return np.einsum("ab,bicj,cd,djak->ik", a, b, c, d, optimize=True)
+
+    t = contract(kp, t0, km, th)
+    dt = (contract(dkp, t0, km, th) + contract(kp, dt0, km, th)
+          + contract(kp, t0, dkm, th) + contract(kp, t0, km, dth))
+    return t, dt
+
+
+@pytest.mark.parametrize("u", [0.31, -0.77 + 0.4j], ids=["real", "complex"])
+@pytest.mark.parametrize("chain", list(BIT_IDENTITY_CHAINS))
+def test_transfer_kernel_matches_the_dense_contraction(chain, u):
+    pr = BIT_IDENTITY_CHAINS[chain]
+    t_ref, dt_ref = _dense_transfer(u, pr)
+    t, dt = transfer_and_derivative(u, pr)
+    for got, want in ((transfer_matrix(u, pr), t_ref), (t, t_ref), (dt, dt_ref)):
+        assert max_norm(got - want) <= 1e-13 * max_norm(want)
+
+
+def test_transfer_matrix_size_cap():
+    pr = ModelParams(two_n=14, a_bar=0.1, p=1.0, q=1.0)
+    with pytest.raises(SizeError):
+        transfer_matrix(0.1, pr)
+    with pytest.raises(SizeError):
+        transfer_and_derivative(0.1, pr)
+
+
+def test_transfer_matrix_is_hermitian_at_real_u():
+    # imaginary shifts a + iθ̄_j make T0(u)^† = T̂0(u) at real u, and K± are
+    # real symmetric, so t(u) is hermitian: the premise of eigh in spectrum
+    gen = np.random.default_rng(60)
+    for two_n in (4, 6, 8):
+        for inhomogeneous in (False, True):
+            theta = gen.uniform(-0.4, 0.4, two_n) if inhomogeneous else ()
+            pr = ModelParams(two_n=two_n, a_bar=float(gen.uniform(0.0, 1.2)),
+                             p=float(gen.uniform(-2.0, 2.0)), q=float(gen.uniform(-2.0, 2.0)),
+                             xi=float(gen.uniform(0.0, 2.0)), theta_bar=theta)
+            u = float(gen.uniform(-2.0, 1.0))
+            t = transfer_matrix(u, pr)
+            assert max_norm(t - t.conj().T) <= 1e-14 * max_norm(t)
+
+
+@pytest.mark.parametrize("chain", list(BIT_IDENTITY_CHAINS))
+def test_column_chunks_do_not_change_the_kernel(chain, monkeypatch):
+    # every column is computed on its own, so one column per chunk gives
+    # the same bits as the default chunking (one chunk below 2N=8)
+    pr = BIT_IDENTITY_CHAINS[chain]
+    gen = np.random.default_rng(pr.two_n)
+    us = gen.uniform(-1.0, 0.5, 7) + 1j * gen.uniform(-0.5, 0.5, 7)
+    vecs = gen.normal(size=(7, 2 ** pr.two_n)) + 1j * gen.normal(size=(7, 2 ** pr.two_n))
+    want = [transfer_matrix(0.31, pr), *transfer_and_derivative(-0.77 + 0.4j, pr),
+            apply_transfer(us, pr, vecs)]
+    monkeypatch.setattr(transfer, "CACHE_BYTES", 1)
+    got = [transfer_matrix(0.31, pr), *transfer_and_derivative(-0.77 + 0.4j, pr),
+           apply_transfer(us, pr, vecs)]
     for g, w in zip(got, want):
         assert np.array_equal(g, w)

@@ -3,12 +3,13 @@
 Runs README's command-line examples (the list that
 ``tests/test_cli.py::readme_commands`` parses, in README order and in one
 directory, so ``classify`` reads the file ``bae`` writes) and then
-``ed --two-n 10 --states 8`` and ``ed --two-n 4 --states 16 --out
+``ed --two-n 10 --states 8``, ``ed --two-n 4 --states 16 --out
 degenerate`` (the default parameters, whose spectrum has three degenerate
-pairs; its own file prefix keeps the 2N=10 files), all inside a temporary
-directory.  Each
-command's standard output and standard error are saved beside the files it
-writes.  Prints one ``sha256  file`` line per file, sorted by name, so two
+pairs; its own file prefix keeps the 2N=10 files) and ``verify --two-n 8``
+at ā=0.66, p=1.2, q=1.09343, ξ=1.2 (the size the benchmark verifies, so
+the 2N=8 dense t(u) and t'(u) residuals are recorded), all inside a
+temporary directory.  Each command's standard output and standard error
+are saved beside the files it writes.  Prints one ``sha256  file`` line per file, sorted by name, so two
 trees that compute the same numbers print the same list.
 
     python3 tools/cli_digest.py
@@ -31,7 +32,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 EXTRA_COMMANDS = ["competing-chain ed --two-n 10 --states 8",
-                  "competing-chain ed --two-n 4 --states 16 --out degenerate"]
+                  "competing-chain ed --two-n 4 --states 16 --out degenerate",
+                  "competing-chain verify --two-n 8 --a-bar 0.66 --p 1.2 --q 1.09343 --xi 1.2"]
 
 
 def _readme_commands() -> list:
