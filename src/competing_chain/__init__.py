@@ -17,17 +17,15 @@ from .transfer import (monodromy, transfer_matrix, transfer_and_derivative,
                        hamiltonian_from_transfer, crossing_residual,
                        transfer_identity_residual, transfer_commutator_residual,
                        apply_transfer, a_bare, d_bare)
-from .spectrum import (EigenPair, SpectralPolynomial, ZeroRootSet, diagonalize,
-                       lambda_samples, chebyshev_sample_points,
-                       fit_lambda_polynomial, extract_zero_roots,
+from .spectrum import (EigenPair, ZeroRootSet, diagonalize, lambda_samples,
+                       chebyshev_sample_points, fit_lambda_polynomial,
                        state_zero_roots, transfer_state_roots, lambda_from_roots,
                        inversion_identity_check, roots_to_json, roots_from_json,
                        roots_to_csv)
 from .bae import (RootPattern, regime_of, seed_roots, bae_residual, solve_bae,
                   classify_pattern, energy_from_roots, ground_state_scan,
                   default_spread_profile)
-from .thermo import (QuadratureSpec, ThermoResult, a_kernel, b_kernel,
-                     a_kernel_fourier, b_kernel_fourier, density_regime1,
+from .thermo import (QuadratureSpec, ThermoResult, a_kernel, density_regime1,
                      density_regime2, surface_energy, ground_energy_density,
                      bulk_energy_per_site, bulk_excitation_energy,
                      string_excitation_energy, boundary_excitation_energy,

@@ -90,7 +90,7 @@ def _identity_samples():
     return np.array(yb).T, np.array(spectral).T, np.array(boundary).T
 
 
-def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool):
+def _verify_checks(params: ModelParams):
     checks = []
 
     def add(name, residual, threshold):
@@ -102,26 +102,24 @@ def _verify_checks(params: ModelParams, tol_scale: float, break_c2: bool):
         })
 
     yb, (lam, u), (pb, qb, xib) = _identity_samples()
-    add("yang_baxter", np.max(algebra.yang_baxter_residual(*yb)), 1e-12 * tol_scale)
-    add("reflection", np.max(algebra.reflection_residual(lam, u, p=pb)), 1e-12 * tol_scale)
+    add("yang_baxter", np.max(algebra.yang_baxter_residual(*yb)), 1e-12)
+    add("reflection", np.max(algebra.reflection_residual(lam, u, p=pb)), 1e-12)
     add("dual_reflection", np.max(algebra.reflection_residual(lam, u, dual=True, q=qb, xi=xib)),
-        1e-12 * tol_scale)
+        1e-12)
 
     h = hamiltonian_direct(params)
-    add("hamiltonian_hermitian", algebra.max_norm(h - h.conj().T), 1e-12 * tol_scale)
-    ht = hamiltonian_from_transfer(params.at_homogeneous_point(),
-                                   _flip_c2_sign=break_c2)
-    add("hamiltonian_equivalence", algebra.max_norm(h - ht), 1e-9 * tol_scale)
+    add("hamiltonian_hermitian", algebra.max_norm(h - h.conj().T), 1e-12)
+    ht = hamiltonian_from_transfer(params.at_homogeneous_point())
+    add("hamiltonian_equivalence", algebra.max_norm(h - ht), 1e-9)
 
     u1, u2 = 0.31, -0.77
-    add("transfer_commutativity",
-        transfer_commutator_residual(u1, u2, params), 1e-10 * tol_scale)
-    add("transfer_crossing", crossing_residual(0.123, params), 1e-10 * tol_scale)
+    add("transfer_commutativity", transfer_commutator_residual(u1, u2, params), 1e-10)
+    add("transfer_crossing", crossing_residual(0.123, params), 1e-10)
 
     # nodes with equal θ̄_j carry the same equation: one site per value
     sites = dict(zip(params.theta_bar, range(1, params.two_n + 1))).values()
     worst_id = max(transfer_identity_residual(j, params) for j in sites)
-    add("transfer_fusion_identity", worst_id, 1e-8 * tol_scale)
+    add("transfer_fusion_identity", worst_id, 1e-8)
 
     return checks
 
@@ -130,8 +128,7 @@ def cmd_verify(args) -> int:
     params = _build_params(args)
     if params.two_n > 8:
         raise ParameterError("verify is limited to two_n <= 8 (operator identities)")
-    checks = _verify_checks(params, tol_scale=args.tol_scale,
-                            break_c2=args.break_c2_sign)
+    checks = _verify_checks(params)
     report = {
         "params": params.to_dict(),
         "checks": checks,
@@ -219,13 +216,9 @@ def cmd_classify(args) -> int:
 # thermo / scan
 # ---------------------------------------------------------------------------
 
-def _quad_spec(args) -> thermo.QuadratureSpec:
-    return thermo.QuadratureSpec(abs_tol=args.quad_tol, method=args.quad_method)
-
-
 def cmd_thermo(args) -> int:
     params = _build_params(args)
-    result = thermo.surface_energy(params, _quad_spec(args))
+    result = thermo.surface_energy(params, thermo.QuadratureSpec(abs_tol=args.quad_tol))
     doc = {"params": params.to_dict()}
     doc.update(result.to_dict())
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -273,7 +266,7 @@ def cmd_scan(args) -> int:
         grid = np.linspace(float(lo), float(hi), int(num))
     except ValueError as exc:
         raise ParameterError(f"malformed grid spec {args.grid!r}") from exc
-    spec = _quad_spec(args)
+    spec = thermo.QuadratureSpec(abs_tol=args.quad_tol)
     ncols = len(_SCAN_HEADERS[args.quantity])
     lines = [",".join([args.var] + _SCAN_HEADERS[args.quantity] + ["status"])]
     for value in grid:
@@ -309,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the residual check suite")
     _add_common(p_verify)
-    p_verify.add_argument("--tol-scale", type=float, default=1.0,
-                          help="scale all thresholds (diagnostics only)")
-    p_verify.add_argument("--break-c2-sign", action="store_true",
-                          help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_ed = sub.add_parser("ed", help="exact diagonalization and root extraction")
@@ -339,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_th = sub.add_parser("thermo", help="surface-energy decomposition")
     _add_common(p_th)
     p_th.add_argument("--quad-tol", type=float, default=1e-10)
-    p_th.add_argument("--quad-method", choices=("adaptive", "gauss"),
-                      default="adaptive")
     p_th.set_defaults(func=cmd_thermo)
 
     p_scan = sub.add_parser("scan", help="sweep a thermodynamic quantity")
@@ -349,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--var", required=True, choices=SCAN_VARIABLES)
     p_scan.add_argument("--grid", required=True, help="start:stop:num")
     p_scan.add_argument("--quad-tol", type=float, default=1e-10)
-    p_scan.add_argument("--quad-method", choices=("adaptive", "gauss"),
-                        default="adaptive")
     p_scan.set_defaults(func=cmd_scan)
 
     return parser

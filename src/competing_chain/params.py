@@ -80,23 +80,6 @@ class ModelParams:
         q = q_bar * math.sqrt(1.0 + xi ** 2)
         return ModelParams(two_n=two_n, a_bar=a_bar, p=p, q=q, xi=xi, theta_bar=theta_bar)
 
-    # -- flat key-value config round trip ----------------------------------
-
-    def to_config_text(self) -> str:
-        lines = [
-            f"two_n = {self.two_n}",
-            f"a_bar = {self.a_bar!r}",
-            f"p = {self.p!r}",
-            f"q = {self.q!r}",
-            f"xi = {self.xi!r}",
-            "theta_bar = " + ",".join(repr(t) for t in self.theta_bar),
-        ]
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_config_text(text: str) -> "ModelParams":
-        return ModelParams(**config_values(text))
-
     def to_dict(self) -> dict:
         return {
             "two_n": self.two_n,

@@ -40,7 +40,7 @@ from .errors import (ConsistencyError, DegeneracyError, ExtractionError,
                      FitError, ParameterError)
 from .hamiltonian import hamiltonian_direct
 from .params import ModelParams
-from .transfer import a_bare, apply_transfer, d_bare
+from .transfer import a_bare, apply_transfer, d_bare, transfer_matrix
 
 DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
@@ -58,32 +58,6 @@ PAIR_TOL = 1e-6           # largest |s_i + s_j| mismatch of a ± root pair
 class EigenPair:
     energy: float
     state: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralPolynomial:
-    """Transfer eigenvalue Λ(u) as a power-basis polynomial (ascending)."""
-
-    coeffs: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> complex:
-        return self.coeffs[-1]
-
-    def __call__(self, u):
-        return nppoly.polyval(u, np.asarray(self.coeffs))
-
-    def crossing_defect(self) -> float:
-        """Relative coefficient defect of Λ(u) - Λ(-u-1)."""
-        c = np.asarray(self.coeffs)
-        reflected = nppoly.Polynomial(c)(nppoly.Polynomial([-1.0, -1.0])).coef
-        reflected = np.pad(reflected, (0, len(c) - len(reflected)))  # numpy trims zeros
-        scale = max(np.max(np.abs(c)), 1e-300)
-        return float(np.max(np.abs(c - reflected)) / scale)
 
 
 @dataclass(frozen=True)
@@ -123,9 +97,9 @@ def _sorted_roots(roots) -> tuple:
     return tuple(sorted((complex(z) for z in roots), key=_sort_key))
 
 
-def lambda_from_roots(u, roots: ZeroRootSet | tuple):
+def lambda_from_roots(u, roots: ZeroRootSet):
     """Λ(u) = 2 ∏ (u - z + 1/2)(u + z + 1/2) from sign-pair representatives."""
-    zz = np.asarray(roots.z if isinstance(roots, ZeroRootSet) else roots, dtype=complex)
+    zz = np.asarray(roots.z, dtype=complex)
     u = np.asarray(u, dtype=complex)
     vals = 2.0 * np.ones_like(u)
     for z in zz:
@@ -144,9 +118,7 @@ def diagonalize(params: ModelParams) -> list:
     diagonalizing t(u*) at the fixed generic point u* = 0.37 inside each
     degenerate block, so Rayleigh quotients of t(u) are well defined.
     """
-    h = hamiltonian_direct(params)
-    _certify_hermitian(h, "Hamiltonian")
-    energies, vectors = np.linalg.eigh(h)
+    energies, vectors = _certified_eigh(hamiltonian_direct(params), "Hamiltonian")
     states = np.ascontiguousarray(vectors.T)
     pairs = [EigenPair(float(e), state) for e, state in zip(energies, states)]
     _resolve_degenerate_blocks(pairs, params)
@@ -167,11 +139,16 @@ def _resolve_degenerate_blocks(pairs, params):
         i = j
 
 
-def _certify_hermitian(m: np.ndarray, name: str) -> None:
-    """ConsistencyError unless m is hermitian to HERM_TOL relative to max(1, |m|)."""
+def _certified_eigh(m: np.ndarray, name: str):
+    """np.linalg.eigh of m, which must be hermitian to HERM_TOL relative to max(1, |m|).
+
+    A larger defect raises ConsistencyError: eigh reads one triangle only,
+    so a skew part would otherwise pass unnoticed.
+    """
     defect = max_norm(m - m.conj().T)
     if defect > HERM_TOL * max(1.0, max_norm(m)):
         raise ConsistencyError(f"{name} hermiticity defect {defect:.3e}")
+    return np.linalg.eigh(m)
 
 
 def _transfer_eigenvectors(basis: np.ndarray, params: ModelParams) -> list:
@@ -187,9 +164,7 @@ def _transfer_eigenvectors(basis: np.ndarray, params: ModelParams) -> list:
     degenerate levels at their recorded digests (notes/decisions.md).
     """
     tv = apply_transfer(np.full(basis.shape[1], DEGENERACY_RESOLVE_POINT), params, basis.T).T
-    projected = basis.conj().T @ tv
-    _certify_hermitian(projected, "projected t(u*)")
-    _, w = np.linalg.eigh(projected)
+    _, w = _certified_eigh(basis.conj().T @ tv, "projected t(u*)")
     return [v / np.linalg.norm(v) for v in (basis @ w).T]
 
 
@@ -229,28 +204,34 @@ def lambda_samples(state, params: ModelParams, points):
     return lam
 
 
-def chebyshev_sample_points(two_n: int, interval=DEFAULT_INTERVAL) -> np.ndarray:
-    """4N+3 sample points: scaled Chebyshev nodes plus the fixed points 0, -1."""
+def chebyshev_sample_points(two_n: int) -> np.ndarray:
+    """4N+3 sorted sample points: scaled Chebyshev nodes plus the fixed points 0, -1.
+
+    On DEFAULT_INTERVAL a node maps to u = 0 or u = -1 only where
+    cos(π(2k+1)/(2(d+1))) = ±0.2, and by Niven's theorem the cosine of a
+    rational multiple of π is rational only at 0, ±1/2 and ±1; so the
+    points are distinct and a sort (no np.unique, which loads numpy.ma)
+    orders them.  The rounded arrays equal np.unique's for 2N = 4..38.
+    """
     degree = 2 * two_n + 2
-    lo, hi = interval
+    lo, hi = DEFAULT_INTERVAL
     k = np.arange(degree + 1)
     nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))
     nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    pts = np.concatenate([nodes, [0.0, -1.0]])
-    return np.unique(pts)
+    return np.sort(np.concatenate([nodes, [0.0, -1.0]]))
 
 
-def _chebyshev_to_power(coeffs, interval) -> np.ndarray:
-    """Ascending power-basis coefficients of a Chebyshev series on ``interval``.
+def _chebyshev_to_power(coeffs) -> np.ndarray:
+    """Ascending power-basis coefficients of a Chebyshev series on DEFAULT_INTERVAL.
 
-    The Clenshaw recurrence of ``Chebyshev(coeffs, interval).convert(
+    The Clenshaw recurrence of ``Chebyshev(coeffs, DEFAULT_INTERVAL).convert(
     kind=Polynomial)`` on coefficient arrays: the same convolutions, padded
     additions and subtractions in the same order, so the result is
     bit-identical to numpy's for any series of length >= 3 whose leading
     coefficient is nonzero (numpy would trim trailing zeros).
     """
     c = np.asarray(coeffs, dtype=complex)
-    off, scl = pu.mapparms(interval, (-1.0, 1.0))
+    off, scl = pu.mapparms(DEFAULT_INTERVAL, (-1.0, 1.0))
     x = np.array([off, scl], dtype=complex)  # the window variable off + scl·u
     x2 = 2.0 * x
     c0, c1 = c[-2:-1], c[-1:]
@@ -265,28 +246,30 @@ def _chebyshev_to_power(coeffs, interval) -> np.ndarray:
     return out
 
 
-def fit_lambda_polynomial(points, values, two_n: int,
-                          interval=DEFAULT_INTERVAL) -> SpectralPolynomial:
-    """Interpolate Λ through >= 4N+3 samples; degree 4N+2, leading coeff 2."""
+def fit_lambda_polynomial(points, values, two_n: int) -> np.ndarray:
+    """Interpolate Λ through >= 4N+3 samples; degree 4N+2, leading coeff 2.
+
+    Returns the ascending power-basis coefficients.
+    """
     degree = 2 * two_n + 2
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=complex)
     if len(points) < degree + 1:
         raise FitError(f"need at least {degree + 1} samples, got {len(points)}")
-    lo, hi = interval
+    lo, hi = DEFAULT_INTERVAL
     mapped = (2.0 * points - (lo + hi)) / (hi - lo)
     design = npcheb.chebvander(mapped, degree)
     cond = np.linalg.cond(design)
     if cond > COND_THRESHOLD:
         raise FitError(
             f"Vandermonde condition {cond:.3e} above {COND_THRESHOLD:.1e}; "
-            "widen the sample interval")
+            "the sample points are too clustered")
     coeffs_cheb, *_ = np.linalg.lstsq(design, values, rcond=None)
-    coeffs = _chebyshev_to_power(coeffs_cheb, interval)
+    coeffs = _chebyshev_to_power(coeffs_cheb)
     lead = coeffs[-1]
     if abs(lead / 2.0 - 1.0) > LEADING_TOL:
         raise FitError(f"leading coefficient {lead} deviates from 2 beyond {LEADING_TOL}")
-    return SpectralPolynomial(coeffs=tuple(coeffs))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -310,35 +293,29 @@ def _pair_shifts(shifts):
     return reps, worst
 
 
-def _polish_on_curve(curve, u: np.ndarray, coeffs: np.ndarray, steps: int) -> np.ndarray:
-    """Newton steps on an analytic curve, all roots at once, slope from the fit.
+def _polish_on_curve(curve, u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """POLISH_STEPS Newton steps on an analytic curve, all roots at once.
 
     The slope is the derivative of the fitted polynomial with ascending
     coefficients ``coeffs``, so each step costs one batched curve evaluation.
     """
     der = nppoly.polyder(coeffs)
-    for _ in range(steps):
+    for _ in range(POLISH_STEPS):
         slopes = nppoly.polyval(u, der)
         safe = np.abs(slopes) > 1e-300
         u = u - np.where(safe, curve(u) / np.where(safe, slopes, 1.0), 0.0)
     return u
 
 
-def _zero_roots(poly: SpectralPolynomial, curve, steps: int) -> ZeroRootSet:
-    """Companion roots of the fit, Newton-polished on ``curve``, then ± paired."""
-    coeffs = np.asarray(poly.coeffs)
-    u_roots = _polish_on_curve(curve, nppoly.polyroots(coeffs), coeffs, steps)
-    reps, worst = _pair_shifts(u_roots + 0.5)
-    return ZeroRootSet(two_n=len(reps) - 1, z=_sorted_roots(reps), residual=float(worst))
-
-
-def extract_zero_roots(poly: SpectralPolynomial) -> ZeroRootSet:
-    """Companion-matrix roots of Λ, one Newton polish, then sign pairing.
+def _zero_roots(coeffs: np.ndarray, curve) -> ZeroRootSet:
+    """Companion roots of the fit, Newton-polished on ``curve``, then ± paired.
 
     Shifts s = u_root + 1/2 come in ± pairs; each pair is averaged into one
     representative.  The pairing residual is the worst |s_i + s_j| mismatch.
     """
-    return _zero_roots(poly, poly, steps=1)
+    u_roots = _polish_on_curve(curve, nppoly.polyroots(coeffs), coeffs)
+    reps, worst = _pair_shifts(u_roots + 0.5)
+    return ZeroRootSet(two_n=len(reps) - 1, z=_sorted_roots(reps), residual=float(worst))
 
 
 def state_zero_roots(state, params: ModelParams) -> ZeroRootSet:
@@ -350,24 +327,24 @@ def state_zero_roots(state, params: ModelParams) -> ZeroRootSet:
     """
     v = _state_vector(state)
     pts = chebyshev_sample_points(params.two_n)
-    poly = fit_lambda_polynomial(pts, lambda_samples(v, params, pts), params.two_n)
-    curve = lambda us: _transfer_rows(us, params, v) @ v.conj()
-    return _zero_roots(poly, curve, POLISH_STEPS)
+    coeffs = fit_lambda_polynomial(pts, lambda_samples(v, params, pts), params.two_n)
+    return _zero_roots(coeffs, lambda us: _transfer_rows(us, params, v) @ v.conj())
 
 
 def transfer_state_roots(params: ModelParams, reference_state: np.ndarray) -> ZeroRootSet:
     """Zero roots of the transfer eigenstate continuously connected to a reference.
 
-    Works at nonzero inhomogeneities, where no Hamiltonian exists: t(u*) is
-    diagonalized on the whole quantum space, and the unit eigenvector of
-    largest overlap with the reference vector goes through state_zero_roots,
-    eigen-residual certificate included.  The t(u) commute, so that vector
-    is an eigenvector of every t(u) and its Rayleigh quotient is Λ(u).
+    Works at nonzero inhomogeneities, where no Hamiltonian exists: the dense
+    t(u*) is certified hermitian and diagonalized, and the eigenvector of
+    largest overlap with the reference vector, normalized, goes through
+    state_zero_roots, eigen-residual certificate included.  The t(u)
+    commute, so that vector is an eigenvector of every t(u) and its Rayleigh
+    quotient is Λ(u).
     """
     ref = np.asarray(reference_state, dtype=complex)
-    basis = np.eye(2 ** params.two_n, dtype=complex)
-    vectors = _transfer_eigenvectors(basis, params)
-    return state_zero_roots(max(vectors, key=lambda v: abs(np.vdot(ref, v))), params)
+    _, w = _certified_eigh(transfer_matrix(DEGENERACY_RESOLVE_POINT, params), "t(u*)")
+    v = w[:, np.argmax(np.abs(ref.conj() @ w))]
+    return state_zero_roots(v / np.linalg.norm(v), params)
 
 
 def inversion_identity_check(roots: ZeroRootSet, params: ModelParams, j: int) -> float:

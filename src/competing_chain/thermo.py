@@ -42,21 +42,6 @@ def a_kernel(u, n):
     return (n / (2.0 * math.pi)) / (u * u + 0.25 * n * n)
 
 
-def b_kernel(u, n):
-    """b_n(u) = (1/2π) 2u / (u² + n²/4); odd in u."""
-    return (u / math.pi) / (u * u + 0.25 * n * n)
-
-
-def a_kernel_fourier(k, n):
-    """ã_n(k) = exp(-n|k|/2)."""
-    return np.exp(-0.5 * abs(n) * np.abs(k))
-
-
-def b_kernel_fourier(k, n):
-    """b̃_n(k) = i sign(k) exp(-n|k|/2)."""
-    return 1j * np.sign(k) * np.exp(-0.5 * abs(n) * np.abs(k))
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     abs_tol: float = 1e-10

@@ -241,12 +241,11 @@ def transfer_identity_residual(j: int, params: ModelParams) -> float:
     return max_norm(lhs - rhs) / max(abs(scalar), 1e-300)
 
 
-def hamiltonian_from_transfer(params: ModelParams, _flip_c2_sign: bool = False) -> np.ndarray:
+def hamiltonian_from_transfer(params: ModelParams) -> np.ndarray:
     """Hamiltonian generated by the transfer family at the homogeneous point.
 
     Uses the commuting-family rewriting c2^{-1} [t(-a) t'(a) + t(a) t'(-a)] - c0,
-    which avoids inverting t(±a).  The _flip_c2_sign hook exists only so the
-    verification suite can demonstrate a failing equivalence check.
+    which avoids inverting t(±a).
     """
     if not params.homogeneous():
         raise ParameterError("transfer-generated Hamiltonian requires theta_bar = 0")
@@ -254,29 +253,21 @@ def hamiltonian_from_transfer(params: ModelParams, _flip_c2_sign: bool = False) 
     tp, dtp = transfer_and_derivative(a, params)
     tm, dtm = transfer_and_derivative(-a, params)
     c2 = c2_constant(params)
-    if _flip_c2_sign:
-        c2 = -c2
     c0 = c0_constant(params)
     dim = tp.shape[0]
     return (tm @ dtp + tp @ dtm) / c2 - c0 * np.eye(dim, dtype=complex)
 
 
-def apply_transfer(u, params: ModelParams, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free t(u) @ vec on the quantum space (cost O(2N · 2^{2N}) per vector).
+def apply_transfer(us, params: ModelParams, vecs: np.ndarray) -> np.ndarray:
+    """Matrix-free rows t(u_k) @ vecs_k on the quantum space (O(2N · 2^{2N}) per row).
 
-    A scalar u takes one vector of length 2^{2N} and returns t(u) @ vec.  A
-    1-D array of n points takes an (n, 2^{2N}) batch and returns the rows
-    t(u_k) @ vec_k, with every point and both auxiliary traces in one pass.
+    us is a 1-D array of n points and vecs an (n, 2^{2N}) batch; every point
+    and both auxiliary traces go through the kernel in one pass.
     """
     qdim = 2 ** params.two_n
-    batched = np.ndim(u) > 0
-    us = np.atleast_1d(np.asarray(u, dtype=complex))
-    vecs = np.asarray(vec, dtype=complex)
-    if not batched:
-        vecs = vecs.reshape(1, -1)
-    n = us.shape[0]
-    if us.ndim != 1 or vecs.shape != (n, qdim):
-        raise ValueError(f"vectors of shape {vecs.shape} do not match {n} points "
-                         f"on dimension {qdim}")
-    out = _transfer_jet(us, params, vecs.T)
-    return out.T if batched else out[:, 0]
+    us = np.asarray(us, dtype=complex)
+    vecs = np.asarray(vecs, dtype=complex)
+    if us.ndim != 1 or vecs.shape != (len(us), qdim):
+        raise ValueError(f"vectors of shape {vecs.shape} do not match points of shape "
+                         f"{us.shape} on dimension {qdim}")
+    return _transfer_jet(us, params, vecs.T).T

@@ -120,9 +120,9 @@ def test_criterion_4_eigenvalue_certificates():
         us = np.array([0.37, 1.1, -0.21])
         for pair in diagonalize(pr):
             vals = lambda_samples(pair, pr, pts)
-            poly = fit_lambda_polynomial(pts, vals, two_n)
-            worst_lead = max(worst_lead, abs(poly.leading / 2.0 - 1.0))
-            lam0 = poly(0.0)
+            coeffs = fit_lambda_polynomial(pts, vals, two_n)
+            worst_lead = max(worst_lead, abs(coeffs[-1] / 2.0 - 1.0))
+            lam0 = coeffs[0]
             worst_zero = max(worst_zero, abs(lam0 - pred0) / abs(pred0))
             left = lambda_samples(pair, pr, us)
             right = lambda_samples(pair, pr, -us - 1.0)

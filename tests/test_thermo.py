@@ -6,9 +6,8 @@ import pytest
 import scipy.integrate
 from scipy.special import digamma
 
-from competing_chain import (ModelParams, QuadratureSpec, a_kernel, b_kernel,
-                             a_kernel_fourier, b_kernel_fourier,
-                             density_regime1, density_regime2, surface_energy,
+from competing_chain import (ModelParams, QuadratureSpec, a_kernel, density_regime1,
+                             density_regime2, surface_energy,
                              ground_energy_density, bulk_energy_per_site,
                              bulk_excitation_energy, string_excitation_energy,
                              boundary_excitation_energy, half_line_integral,
@@ -44,17 +43,6 @@ _QUADRATURES = {
 def test_kernel_parity():
     u = np.linspace(-3, 3, 11)
     assert np.allclose(a_kernel(u, 2), a_kernel(-u, 2))
-    assert np.allclose(b_kernel(u, 2), -b_kernel(-u, 2))
-
-
-def test_kernel_fourier_values():
-    assert a_kernel_fourier(0.0, 3) == 1.0
-    k = np.array([-1.0, 2.0])
-    assert np.allclose(a_kernel_fourier(k, 2), np.exp(-np.abs(k)))
-    bt = b_kernel_fourier(k, 2)
-    assert np.allclose(bt, 1j * np.sign(k) * np.exp(-np.abs(k)))
-    # even part of the odd kernel image vanishes
-    assert np.allclose(b_kernel_fourier(1.0, 3) + b_kernel_fourier(-1.0, 3), 0.0)
 
 
 def test_kernel_transform_is_consistent():

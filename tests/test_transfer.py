@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from competing_chain import (ModelParams, hamiltonian_direct,
+from competing_chain import (ModelParams, c2_constant, hamiltonian_direct,
                              hamiltonian_from_transfer, monodromy,
                              transfer_matrix, transfer_and_derivative,
                              transfer_commutator_residual, crossing_residual,
@@ -94,8 +94,10 @@ def test_hamiltonian_from_transfer_requires_homogeneous(params_small):
         hamiltonian_from_transfer(pr)
 
 
-def test_broken_c2_breaks_equivalence(params_small):
-    ht = hamiltonian_from_transfer(params_small, _flip_c2_sign=True)
+def test_broken_c2_breaks_equivalence(params_small, monkeypatch):
+    # hamiltonian_from_transfer looks c2_constant up at call time
+    monkeypatch.setattr(transfer, "c2_constant", lambda pr: -c2_constant(pr))
+    ht = hamiltonian_from_transfer(params_small)
     assert max_norm(hamiltonian_direct(params_small) - ht) > 1.0
 
 
@@ -126,7 +128,7 @@ def test_apply_transfer_matches_dense(params_small, rng):
     u = 0.29 - 0.11j
     t = transfer_matrix(u, params_small)
     v = rng.normal(size=t.shape[0]) + 1j * rng.normal(size=t.shape[0])
-    assert np.max(np.abs(t @ v - apply_transfer(u, params_small, v))) < 1e-11
+    assert np.max(np.abs(t @ v - apply_transfer([u], params_small, [v])[0])) < 1e-11
 
 
 def test_apply_transfer_batch_matches_dense():
@@ -141,11 +143,10 @@ def test_apply_transfer_batch_matches_dense():
     assert rows.shape == (5, 64)
     for u, v, row in zip(us, vecs, rows):
         assert np.max(np.abs(transfer_matrix(u, pr) @ v - row)) < 1e-11
-    single = apply_transfer(us[2], pr, vecs[2])
-    assert single.shape == (64,)
-    assert np.max(np.abs(single - rows[2])) < 1e-11
     with pytest.raises(ValueError):
         apply_transfer(us, pr, vecs[:4])
+    with pytest.raises(ValueError):   # a scalar point is not a batch
+        apply_transfer(us[2], pr, vecs[2])
 
 
 def _swap_copy_factor(m, v, j, two_n, carry=None):
