@@ -20,6 +20,7 @@ from competing_chain.spectrum import _sorted_roots, _zero_roots
 from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.errors import ConsistencyError, DegeneracyError, FitError
 from competing_chain.transfer import transfer_matrix
+from conftest import REGIME_POINTS
 
 
 def test_trace_identity(params_small):
@@ -30,18 +31,61 @@ def test_trace_identity(params_small):
     assert abs(total - tr) <= 1e-8 * max(1.0, abs(tr))
 
 
-def test_eigenvectors_orthonormal(params_small):
-    pairs = diagonalize(params_small)
-    v = np.column_stack([p.state for p in pairs])
-    assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-10
+@pytest.fixture(scope="module")
+def chain_10():
+    """Regime V at 2N=10, whose 1024-dimensional H takes the blocked eigensolve."""
+    params = ModelParams.from_q_bar(10, 0.66, *REGIME_POINTS["V"], 1.2)
+    return params, diagonalize(params)
 
 
-def test_eigen_residuals(params_small):
-    pairs = diagonalize(params_small)
-    h = hamiltonian_direct(params_small)
-    scale = np.max(np.abs(h))
-    for p in pairs[:4] + pairs[-2:]:
-        assert np.linalg.norm(h @ p.state - p.energy * p.state) <= 1e-10 * scale
+def test_eigenvectors_orthonormal(params_small, chain_10):
+    for pairs in (diagonalize(params_small), chain_10[1]):
+        v = np.column_stack([p.state for p in pairs])
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) < 1e-10
+
+
+def test_eigen_residuals(params_small, chain_10):
+    for params, pairs in ((params_small, diagonalize(params_small)), chain_10):
+        h = hamiltonian_direct(params)
+        scale = np.max(np.abs(h))
+        for p in pairs[:4] + pairs[-2:]:
+            assert np.linalg.norm(h @ p.state - p.energy * p.state) <= 1e-10 * scale
+
+
+def test_blocked_eigensolve_energies_match_eigvalsh(chain_10):
+    # not bitwise: numpy's and scipy's wheels each bundle their own LAPACK
+    params, pairs = chain_10
+    want = np.linalg.eigvalsh(hamiltonian_direct(params))
+    got = np.array([p.energy for p in pairs])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def hermitian_1024():
+    gen = np.random.default_rng(1024)
+    a = gen.normal(size=(1024, 1024)) + 1j * gen.normal(size=(1024, 1024))
+    return (a + a.conj().T) / 2
+
+
+def test_blocked_eigensolve_keeps_its_input(hermitian_1024):
+    m = np.asfortranarray(hermitian_1024)   # a layout LAPACK could overwrite in place
+    w, v = spectrum._certified_eigh(m, "m")
+    assert np.array_equal(m, hermitian_1024)
+    assert v.flags.f_contiguous   # so diagonalize's row states are a view
+    assert np.max(np.abs(v.conj().T @ v - np.eye(1024))) <= 1e-13
+    assert np.max(np.linalg.norm(m @ v - v * w, axis=0)) <= 1e-13 * np.max(np.abs(w))
+
+
+def test_certified_eigh_refuses_a_skew_part_before_lapack(hermitian_1024, monkeypatch):
+    skew = np.triu(np.full(hermitian_1024.shape, 1e-6), 1)
+    skew = skew - skew.T
+
+    def never(_m):
+        pytest.fail("the blocked eigensolve ran on a non-hermitian matrix")
+
+    monkeypatch.setattr(spectrum, "_blocked_eigh", never)
+    with pytest.raises(ConsistencyError, match="hermiticity"):
+        spectrum._certified_eigh(hermitian_1024 + skew, "m")
 
 
 def test_lambda_fixed_values(params_fig4):
@@ -135,11 +179,14 @@ def test_sample_points_and_roots_leave_numpy_ma_unloaded():
         "from competing_chain import ModelParams, diagonalize, state_zero_roots\n"
         "params = ModelParams(two_n=4, a_bar=0.6, p=1.0, q=0.5, xi=1.2)\n"
         "state_zero_roots(diagonalize(params)[0], params)\n"
-        "print('numpy.ma' in sys.modules)\n")
+        "diagonalize(ModelParams(two_n=8, a_bar=0.6, p=1.0, q=0.5, xi=1.2))\n"
+        "print('numpy.ma' in sys.modules, 'scipy.linalg' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    # nor does ed up to 2N=8 import scipy.linalg (~0.33 s), which only the
+    # blocked eigensolve from spectrum.BLOCKED_EIGH_MIN_DIM on needs
+    assert done.stdout.strip() == "False False"
 
 
 def test_fit_holdout_residual(params_fig4):
