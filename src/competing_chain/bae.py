@@ -55,7 +55,8 @@ import numpy as np
 from .errors import (ConsistencyError, DegeneracyError, DomainError,
                      ParameterError, SolverError)
 from .params import ModelParams, c0_constant
-from .spectrum import ZeroRootSet, canonical_root, _sorted_roots
+from .spectrum import (ZeroRootSet, canonical_root, diagonalize, state_zero_roots,
+                       _sorted_roots)
 from .thermo import a_kernel
 from .transfer import a_table
 
@@ -75,6 +76,7 @@ HALF_MARGIN = 0.02            # least distance of a pure-imaginary seed from z̄
 THETA_GROUP_TOL = 1e-12       # θ̄ values closer than this form one confluent group
 SPREAD_SCALE_FLOOR = 0.1      # smallest seed-matched homotopy start scale
 LADDER_AGREE_TOL = 1e-8       # largest root distance of two hits of the same minimum
+ED_SEED_TWO_N = 8             # largest scan start size: dense ED stays below BLOCKED_EIGH_MIN_DIM
 
 _log = logging.getLogger(__name__)
 
@@ -679,12 +681,17 @@ def _extend_pattern(pattern: _Pattern, new_m: int) -> _Pattern:
 def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
     """Ground-state roots across chain sizes by size continuation.
 
-    The smallest size is solved from the regime seed (full retry ladder);
-    each larger size is seeded from the previous solution with new outer
-    string centers appended and takes one direct homogeneous solve.  A
-    failed solve, or one that lands on an excited branch, raises
-    SolverError naming 2N at once.  Returns a list of (two_n, energy, roots)
-    at θ̄ = 0.
+    The walk starts at min(smallest size, ED_SEED_TWO_N), where the dense
+    ED ground state is cheap: its zero roots (spectrum.state_zero_roots)
+    seed one direct solve.  Each larger size is seeded from the previous
+    solution with new outer string centers appended and takes one direct
+    homogeneous solve.  No size runs the homotopy retry ladder.  A failed
+    solve, a solution that is not a ground-state inventory, or one that
+    lands on an excited branch raises SolverError naming 2N at once (and
+    the ED seed at the first size), chained from the solve's error and
+    carrying its best_roots and history.  Errors of the ED itself
+    propagate unchanged.  Returns a list of (two_n, energy, roots) at
+    θ̄ = 0 for the requested sizes only.
     """
     sizes = sorted(set(int(s) for s in sizes))
     if any(s % 2 or s < 4 for s in sizes):
@@ -692,38 +699,42 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
     requested = set(sizes)
     # walk every even size up to the largest: continuation is reliable in
     # steps of one added string pair
-    walk = list(range(sizes[0], sizes[-1] + 1, 2))
-    regime = regime_of(abs(base_params.p), base_params.q_bar)
+    walk = list(range(min(sizes[0], ED_SEED_TWO_N), sizes[-1] + 1, 2))
     results = []
     prev = None
     for two_n in walk:
         pr = ModelParams(two_n=two_n, a_bar=base_params.a_bar, p=base_params.p,
                          q=base_params.q, xi=base_params.xi)
         if prev is None:
-            sol = solve_bae(seed_roots(regime, pr), pr, tol=tol)
-            energy = energy_from_roots(sol, pr)
+            where = f"2N={two_n} (ED ground-state seed)"
+            seed = state_zero_roots(diagonalize(pr)[0], pr)
         else:
+            where = f"2N={two_n}"
             prev_pattern, prev_two_n, prev_energy = prev
             extra = (two_n - prev_two_n) // 2
-            seed_pattern = _extend_pattern(prev_pattern,
-                                           len(prev_pattern.centers) + extra)
-            seed = seed_pattern.root_set(two_n)
+            seed = _extend_pattern(prev_pattern,
+                                   len(prev_pattern.centers) + extra).root_set(two_n)
+        try:
+            sol = solve_bae(seed, pr, homotopy=None, tol=tol)
+        except (SolverError, DegeneracyError, ParameterError) as exc:
+            raise SolverError(
+                f"size continuation failed at {where}: {exc}",
+                best_roots=getattr(exc, "best_roots", None),
+                history=getattr(exc, "history", None)) from exc
+        cls = classify_pattern(sol, pr)
+        if cls.regime not in REGIMES:
+            raise SolverError(f"size continuation failed at {where}: solution is not a "
+                              f"ground-state inventory ({cls.regime})", best_roots=sol)
+        energy = energy_from_roots(sol, pr)
+        if prev is not None:
             # the bulk gain per added site is about E_prev / 2N_prev < 0; a
             # candidate gaining much less has jumped to an excited branch
             min_gain = 0.25 * (two_n - prev_two_n) * (prev_energy / prev_two_n)
-            try:
-                sol = solve_bae(seed, pr, homotopy=None, tol=tol)
-            except (SolverError, DegeneracyError) as exc:
-                raise SolverError(
-                    f"size continuation failed at 2N={two_n}: {exc}",
-                    best_roots=getattr(exc, "best_roots", None),
-                    history=getattr(exc, "history", None)) from exc
-            energy = energy_from_roots(sol, pr)
             if energy > prev_energy + min_gain:
                 raise SolverError(
                     f"size continuation lost the ground state at 2N={two_n}",
                     best_roots=sol)
-        prev = (_pattern_from_roots(sol, classify_pattern(sol, pr)), two_n, energy)
+        prev = (_pattern_from_roots(sol, cls), two_n, energy)
         if two_n in requested:
             results.append((two_n, energy, sol))
     return results

@@ -1,5 +1,8 @@
 import logging
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -226,7 +229,7 @@ def test_ground_state_scan_matches_ed():
 
 
 def test_ground_state_scan_stops_at_first_failed_warm_size(monkeypatch):
-    # a failed warm solve ends the scan at once: no retry ladder at that size
+    # a failed warm solve ends the scan at once: no retry ladder at any size
     base = ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2)
     marker = ZeroRootSet(two_n=10, z=(1j,) * 11)
     injected = SolverError("injected", best_roots=marker, history=[0.5])
@@ -242,9 +245,129 @@ def test_ground_state_scan_stops_at_first_failed_warm_size(monkeypatch):
     monkeypatch.setattr(bae, "solve_bae", spy)
     with pytest.raises(SolverError, match="2N=10") as info:
         ground_state_scan(base, [8, 10])
-    assert calls == [(8, bae.HOMOTOPY_STEPS), (10, None)]
+    # the 2N=8 start is one direct solve from the ED ground state's roots
+    assert calls == [(8, None), (10, None)]
+    assert not any(isinstance(homotopy, int) for _, homotopy in calls)
     assert info.value.__cause__ is injected
     assert info.value.best_roots is marker and info.value.history == [0.5]
+
+
+def test_ground_state_scan_reports_only_the_requested_sizes(monkeypatch):
+    # a scan that asks only for 2N=10 still walks up from the 2N=8 ED seed
+    base = ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2)
+    diagonalized = []
+    diagonalize_ = bae.diagonalize
+
+    def spy(params):
+        diagonalized.append(params.two_n)
+        return diagonalize_(params)
+
+    monkeypatch.setattr(bae, "diagonalize", spy)
+    res = ground_state_scan(base, [10])
+    assert diagonalized == [8]
+    assert [two_n for two_n, _, _ in res] == [10]
+    assert res[0][1] == pytest.approx(-28.027604097360523, abs=1e-8)
+
+
+# (p, q̄) rectangles of the six regime boxes; the open sides of III-VI are
+# closed at 2
+REGIME_BOXES = {"I": ((0.0, 0.5), (0.0, 0.5)), "II": ((0.0, 0.5), (-0.5, 0.0)),
+                "III": ((0.5, 2.0), (0.0, 0.5)), "IV": ((0.5, 2.0), (-0.5, 0.0)),
+                "V": ((0.5, 2.0), (0.5, 2.0)), "VI": ((0.5, 2.0), (-2.0, -0.5))}
+
+
+def test_ground_state_scan_starts_on_the_ed_ground_state_across_the_boxes():
+    # 2 seeded points per box, p and q̄ at least 0.05 inside it; the regime
+    # seeded retry ladder missed 3 of these 12 (one in I, two in II)
+    rng = np.random.default_rng(2026)
+    missed = []
+    for regime, ((p0, p1), (q0, q1)) in REGIME_BOXES.items():
+        for _ in range(2):
+            p, q_bar = rng.uniform(p0 + 0.05, p1 - 0.05), rng.uniform(q0 + 0.05, q1 - 0.05)
+            pr = ModelParams.from_q_bar(8, rng.uniform(0.2, 1.2), p, q_bar,
+                                        rng.uniform(0.2, 2.0))
+            try:
+                energy = ground_state_scan(pr, [8])[0][1]
+            except SolverError as exc:
+                missed.append((regime, pr, str(exc)))
+                continue
+            if abs(energy - diagonalize(pr)[0].energy) > 1e-8:
+                missed.append((regime, pr, energy))
+    assert not missed
+
+
+@pytest.mark.parametrize("failure", ["solve", "inventory"])
+def test_ed_seed_failure_ends_the_scan_without_a_ladder(failure, monkeypatch):
+    base = ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2)
+    marker = ZeroRootSet(two_n=8, z=(1j,) * 9)
+    calls, stages = [], []
+    solve, gauss_newton = bae.solve_bae, bae._gauss_newton
+
+    def spy(seed, params, homotopy=bae.HOMOTOPY_STEPS, **kwargs):
+        calls.append((params.two_n, homotopy))
+        return solve(seed, params, homotopy, **kwargs)
+
+    def failing_stage(pattern, params, **kwargs):
+        stages.append(params.two_n)
+        raise SolverError("injected", best_roots=marker, history=[0.25])
+
+    def not_an_inventory(roots, cls):
+        raise ParameterError("seed root set is not a ground-state inventory")
+
+    monkeypatch.setattr(bae, "solve_bae", spy)
+    if failure == "solve":
+        monkeypatch.setattr(bae, "_gauss_newton", failing_stage)
+    else:
+        monkeypatch.setattr(bae, "_pattern_from_roots", not_an_inventory)
+    with pytest.raises(SolverError, match=r"2N=8 \(ED ground-state seed\)") as info:
+        ground_state_scan(base, [8, 10])
+    cause = info.value.__cause__
+    assert calls == [(8, None)]
+    if failure == "solve":
+        assert stages == [8]
+        assert str(cause) == "direct solve failed: injected"
+        assert info.value.best_roots is marker and info.value.history == [0.25]
+    else:
+        assert isinstance(cause, ParameterError) and "ground-state inventory" in str(info.value)
+        assert info.value.best_roots is None and info.value.history == []
+
+
+def test_scan_refuses_a_solution_that_is_not_a_ground_state_inventory(monkeypatch):
+    base = ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2)
+    returned = []
+    solve, classify = bae.solve_bae, bae.classify_pattern
+
+    def solve_spy(*args, **kwargs):
+        returned.append(solve(*args, **kwargs))
+        return returned[-1]
+
+    def classify_spy(roots, params):
+        if returned and roots is returned[-1]:
+            return bae.RootPattern(regime="unclassified")
+        return classify(roots, params)
+
+    monkeypatch.setattr(bae, "solve_bae", solve_spy)
+    monkeypatch.setattr(bae, "classify_pattern", classify_spy)
+    with pytest.raises(SolverError, match=r"2N=8 \(ED ground-state seed\): solution is not "
+                       r"a ground-state inventory \(unclassified\)") as info:
+        ground_state_scan(base, [8, 10])
+    assert len(returned) == 1 and info.value.best_roots is returned[0]
+
+
+def test_ground_state_scan_leaves_scipy_linalg_unloaded():
+    # the 2N=8 ED seed stays below spectrum.BLOCKED_EIGH_MIN_DIM, so a scan
+    # never pays the scipy.linalg import of the blocked eigensolve
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from competing_chain import ModelParams, ground_state_scan\n"
+        "ground_state_scan(ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2), [8, 10])\n"
+        "print('scipy.linalg' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _closed_form_rows(u, r, c, t, w):
@@ -369,14 +492,14 @@ def test_non_finite_jacobian_rejects_an_accepted_trial(monkeypatch, params_fig4)
 
 
 def test_direct_scan_failure_names_the_direct_solve():
-    # regime V continues to 2N=48; the direct solve at 2N=50 stalls
+    # regime V continues to 2N=66; the direct solve at 2N=68 stalls
     base = ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2)
-    with pytest.raises(SolverError, match="2N=50: direct solve failed: line search stalled") as info:
-        ground_state_scan(base, [8, 50])
+    with pytest.raises(SolverError, match="2N=68: direct solve failed: line search stalled") as info:
+        ground_state_scan(base, [8, 68])
     cause = info.value.__cause__
     assert isinstance(cause, SolverError)
     assert str(cause).startswith("direct solve failed: ")
-    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 50
+    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 68
     assert info.value.history == cause.history and len(cause.history) > 1
 
 
