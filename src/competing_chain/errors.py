@@ -22,11 +22,11 @@ class DegeneracyError(CompetingChainError):
 
 
 class FitError(CompetingChainError):
-    """Polynomial interpolation of an eigenvalue curve failed or is ill-conditioned."""
+    """The polynomial fitted to an eigenvalue curve has the wrong leading coefficient."""
 
 
 class ExtractionError(CompetingChainError):
-    """Zero roots of an eigenvalue polynomial could not be sign-paired."""
+    """Zero roots of an eigenvalue polynomial did not converge on the exact curve."""
 
 
 class EvaluationError(CompetingChainError):

@@ -1,19 +1,22 @@
 """Exact diagonalization and per-eigenstate transfer-eigenvalue reconstruction.
 
-For every eigenstate the transfer eigenvalue Λ(u) is a degree 4N+2
-polynomial with leading coefficient 2, invariant under u -> -u-1, and
-parameterized by 2N+1 sign-paired zero roots via
+For every eigenstate the transfer eigenvalue Λ(u) is invariant under
+u -> -u-1 and parameterized by 2N+1 sign-paired zero roots z_l via
 
-    Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2).
+    Λ(u) = 2 ∏_l (u - z_l + 1/2)(u + z_l + 1/2) = 2 ∏_l (w - z_l^2),
 
-Λ is sampled as a Rayleigh quotient of the (matrix-free) transfer
-application, certified by the eigen-residual ‖t(u)v − Λv‖² ≤ VAR_TOL·|Λ|²
-against unresolved degeneracies, interpolated on scaled Chebyshev nodes
-plus the fixed points {0, -1}, factored through a balanced companion
-matrix, and the roots are polished by Newton steps on the exact Rayleigh
-quotient, with the slope of the fitted polynomial, so downstream energy
-checks hold at 1e-8 and better.  All points of one curve, samples and
-certificate together, go through one batched transfer application.
+so it is a polynomial P(w) of degree 2N+1 in w = (u + 1/2)^2 with leading
+coefficient 2.  Λ is sampled as a Rayleigh quotient of the (matrix-free)
+transfer application, certified by the eigen-residual
+‖t(u)v − Λv‖² ≤ VAR_TOL·|Λ|² against unresolved degeneracies, at the
+2N+2 points of the circle |w − c| = R, that is at complex u = −1/2 + √w.
+On that circle the Vandermonde is unitary, so an FFT gives the
+coefficients of P; their companion roots start Weierstrass (Durand–Kerner)
+steps, first on the fit and then on the exact Rayleigh quotient, one
+batched transfer application per step, until no root moves by more than
+STEP_TOL relative.  z_l is the canonical square root of the root w_l, so
+no ± pairing is needed.  The samples stay clear of u = −1/2 (w = 0),
+where Λ can have a double zero that no relative certificate passes.
 
 At nonzero inhomogeneities, where no Hamiltonian exists, the state is a
 unit eigenvector of t(u*) itself (transfer_state_roots).  The t(u) commute,
@@ -31,9 +34,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as nppoly
-from numpy.polynomial import polyutils as pu
 
 from .algebra import max_norm
 from .errors import (ConsistencyError, DegeneracyError, ExtractionError,
@@ -42,10 +43,8 @@ from .hamiltonian import hamiltonian_direct
 from .params import ModelParams
 from .transfer import a_bare, apply_transfer, d_bare, transfer_matrix
 
-DEFAULT_INTERVAL = (-3.0, 2.0)
 DEGENERACY_RESOLVE_POINT = 0.37
 ROOT_ZERO_TOL = 1e-12
-POLISH_STEPS = 2
 HERM_TOL = 1e-12          # hermiticity defect of H and t(u*), relative to max(1, |m|)
 # From this dimension (2N >= 10) hermitian eigensolves take the blocked
 # back-transform: on a 2-core x86-64 host it saves ~0.45 s per call at 1024,
@@ -54,9 +53,12 @@ HERM_TOL = 1e-12          # hermiticity defect of H and t(u*), relative to max(1
 BLOCKED_EIGH_MIN_DIM = 1024
 DEGENERACY_GAP = 1e-9     # level spacing, relative to the spectral scale
 VAR_TOL = 1e-8            # squared eigen-residual of t(u) v, relative to |Λ|^2
-COND_THRESHOLD = 1e12     # largest Chebyshev-Vandermonde condition number
 LEADING_TOL = 1e-6        # relative deviation of the leading coefficient from 2
-PAIR_TOL = 1e-6           # largest |s_i + s_j| mismatch of a ± root pair
+CIRCLE_CENTER = -1.0      # Λ is sampled on the circle |w − c| = R in w = (u + 1/2)^2
+CIRCLE_RADIUS = 4.0
+FIT_STEPS = 8             # Weierstrass steps on the fitted polynomial
+STEP_TOL = 1e-14          # exact Weierstrass steps stop at this largest relative step
+MAX_EXACT_STEPS = 50      # exact steps before ExtractionError
 
 
 @dataclass
@@ -67,7 +69,11 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class ZeroRootSet:
-    """Sign-pair representatives of the 2N+1 zero roots of Λ(u)."""
+    """Sign-pair representatives of the 2N+1 zero roots of Λ(u).
+
+    ``residual`` is the last Weierstrass step of the extraction in
+    w = z^2, relative to max(|w|, 1) and largest over the roots (≤ STEP_TOL).
+    """
 
     two_n: int
     z: tuple
@@ -255,69 +261,29 @@ def lambda_samples(state, params: ModelParams, points):
     return lam
 
 
-def chebyshev_sample_points(two_n: int) -> np.ndarray:
-    """4N+3 sorted sample points: scaled Chebyshev nodes plus the fixed points 0, -1.
+def circle_sample_points(two_n: int) -> np.ndarray:
+    """The 2N+2 sample points w_k = c + R e^{2πik/(2N+2)} of P(w), on the circle |w − c| = R."""
+    k = np.arange(two_n + 2)
+    return CIRCLE_CENTER + CIRCLE_RADIUS * np.exp(2j * np.pi * k / (two_n + 2))
 
-    On DEFAULT_INTERVAL a node maps to u = 0 or u = -1 only where
-    cos(π(2k+1)/(2(d+1))) = ±0.2, and by Niven's theorem the cosine of a
-    rational multiple of π is rational only at 0, ±1/2 and ±1; so the
-    points are distinct and a sort (no np.unique, which loads numpy.ma)
-    orders them.  The rounded arrays equal np.unique's for 2N = 4..38.
+
+def u_of_w(w) -> np.ndarray:
+    """u = −1/2 + √w; Λ is even in u + 1/2, so either branch of the root gives it."""
+    return np.sqrt(np.asarray(w, dtype=complex)) - 0.5
+
+
+def fit_lambda_polynomial(values) -> np.ndarray:
+    """Ascending coefficients of P in t = (w − c)/R from its samples at circle_sample_points.
+
+    The samples are P at the (2N+2)-th roots of unity in t, so the
+    Vandermonde is unitary up to scale and the coefficients are the discrete
+    Fourier transform of the samples over their count.  P has degree 2N+1
+    and leading coefficient 2 in w, that is 2 R^{2N+1} in t; a deviation
+    beyond LEADING_TOL raises FitError.
     """
-    degree = 2 * two_n + 2
-    lo, hi = DEFAULT_INTERVAL
-    k = np.arange(degree + 1)
-    nodes = np.cos(np.pi * (2 * k + 1) / (2 * (degree + 1)))
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    return np.sort(np.concatenate([nodes, [0.0, -1.0]]))
-
-
-def _chebyshev_to_power(coeffs) -> np.ndarray:
-    """Ascending power-basis coefficients of a Chebyshev series on DEFAULT_INTERVAL.
-
-    The Clenshaw recurrence of ``Chebyshev(coeffs, DEFAULT_INTERVAL).convert(
-    kind=Polynomial)`` on coefficient arrays: the same convolutions, padded
-    additions and subtractions in the same order, so the result is
-    bit-identical to numpy's for any series of length >= 3 whose leading
-    coefficient is nonzero (numpy would trim trailing zeros).
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    off, scl = pu.mapparms(DEFAULT_INTERVAL, (-1.0, 1.0))
-    x = np.array([off, scl], dtype=complex)  # the window variable off + scl·u
-    x2 = 2.0 * x
-    c0, c1 = c[-2:-1], c[-1:]
-    for i in range(3, len(c) + 1):
-        tmp = c0
-        c0 = -c1
-        c0[0] += c[-i]
-        c1 = np.convolve(c1, x2)
-        c1[: len(tmp)] += tmp
-    out = np.convolve(c1, x)
-    out[: len(c0)] += c0
-    return out
-
-
-def fit_lambda_polynomial(points, values, two_n: int) -> np.ndarray:
-    """Interpolate Λ through >= 4N+3 samples; degree 4N+2, leading coeff 2.
-
-    Returns the ascending power-basis coefficients.
-    """
-    degree = 2 * two_n + 2
-    points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=complex)
-    if len(points) < degree + 1:
-        raise FitError(f"need at least {degree + 1} samples, got {len(points)}")
-    lo, hi = DEFAULT_INTERVAL
-    mapped = (2.0 * points - (lo + hi)) / (hi - lo)
-    design = npcheb.chebvander(mapped, degree)
-    cond = np.linalg.cond(design)
-    if cond > COND_THRESHOLD:
-        raise FitError(
-            f"Vandermonde condition {cond:.3e} above {COND_THRESHOLD:.1e}; "
-            "the sample points are too clustered")
-    coeffs_cheb, *_ = np.linalg.lstsq(design, values, rcond=None)
-    coeffs = _chebyshev_to_power(coeffs_cheb)
-    lead = coeffs[-1]
+    coeffs = np.fft.fft(values) / len(values)
+    lead = coeffs[-1] / CIRCLE_RADIUS ** (len(values) - 1)
     if abs(lead / 2.0 - 1.0) > LEADING_TOL:
         raise FitError(f"leading coefficient {lead} deviates from 2 beyond {LEADING_TOL}")
     return coeffs
@@ -327,59 +293,54 @@ def fit_lambda_polynomial(points, values, two_n: int) -> np.ndarray:
 # zero roots
 # ---------------------------------------------------------------------------
 
-def _pair_shifts(shifts):
-    """Greedy ±-pairing of the shifted roots; returns (representatives, worst)."""
-    shifts = list(shifts)
-    reps = []
-    worst = 0.0
-    while shifts:
-        s0 = shifts.pop()
-        dists = [abs(s0 + s) for s in shifts]
-        k = int(np.argmin(dists))
-        worst = max(worst, dists[k])
-        partner = shifts.pop(k)
-        reps.append(canonical_root(0.5 * (s0 - partner)))
-    if worst > PAIR_TOL:
-        raise ExtractionError(f"unpairable zero roots: mismatch {worst:.3e} > {PAIR_TOL:.1e}")
-    return reps, worst
+def _weierstrass_step(w: np.ndarray, values: np.ndarray, lead: complex):
+    """One simultaneous Weierstrass step w_i -= P(w_i) / (lead ∏_{j≠i} (w_i − w_j)).
 
-
-def _polish_on_curve(curve, u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """POLISH_STEPS Newton steps on an analytic curve, all roots at once.
-
-    The slope is the derivative of the fitted polynomial with ascending
-    coefficients ``coeffs``, so each step costs one batched curve evaluation.
+    Returns the new roots and the largest step relative to max(|w_i|, 1):
+    a root at w = 0, a double zero of Λ at u = −1/2, is measured absolutely.
     """
-    der = nppoly.polyder(coeffs)
-    for _ in range(POLISH_STEPS):
-        slopes = nppoly.polyval(u, der)
-        safe = np.abs(slopes) > 1e-300
-        u = u - np.where(safe, curve(u) / np.where(safe, slopes, 1.0), 0.0)
-    return u
+    diff = w[:, None] - w[None, :]
+    np.fill_diagonal(diff, 1.0)
+    step = values / (lead * np.prod(diff, axis=1))
+    return w - step, float(np.max(np.abs(step) / np.maximum(np.abs(w), 1.0)))
 
 
 def _zero_roots(coeffs: np.ndarray, curve) -> ZeroRootSet:
-    """Companion roots of the fit, Newton-polished on ``curve``, then ± paired.
+    """Roots of the fit in t, Weierstrass-polished on the fit and then on ``curve``.
 
-    Shifts s = u_root + 1/2 come in ± pairs; each pair is averaged into one
-    representative.  The pairing residual is the worst |s_i + s_j| mismatch.
+    ``curve`` evaluates P(w) = Λ(−1/2 + √w) at an array of w.  FIT_STEPS steps
+    on the fitted polynomial start the exact steps, each one call of
+    ``curve`` on all 2N+1 roots, which stop once no root moves by more than
+    STEP_TOL relative (ExtractionError after MAX_EXACT_STEPS).  Each w_l is
+    z_l^2, so z_l is the canonical square root, and the residual is the
+    last relative step.
     """
-    u_roots = _polish_on_curve(curve, nppoly.polyroots(coeffs), coeffs)
-    reps, worst = _pair_shifts(u_roots + 0.5)
-    return ZeroRootSet(two_n=len(reps) - 1, z=_sorted_roots(reps), residual=float(worst))
+    n = len(coeffs) - 1
+    w = CIRCLE_CENTER + CIRCLE_RADIUS * nppoly.polyroots(coeffs)
+    fit_lead = coeffs[-1] / CIRCLE_RADIUS ** n
+    for _ in range(FIT_STEPS):
+        t = (w - CIRCLE_CENTER) / CIRCLE_RADIUS
+        w, _ = _weierstrass_step(w, nppoly.polyval(t, coeffs), fit_lead)
+    for _ in range(MAX_EXACT_STEPS):
+        w, step = _weierstrass_step(w, curve(w), 2.0)
+        if step <= STEP_TOL:
+            z = [canonical_root(np.sqrt(x)) for x in w]
+            return ZeroRootSet(two_n=n - 1, z=_sorted_roots(z), residual=step)
+    raise ExtractionError(f"zero roots still move by {step:.3e} after "
+                          f"{MAX_EXACT_STEPS} Weierstrass steps")
 
 
 def state_zero_roots(state, params: ModelParams) -> ZeroRootSet:
     """Full pipeline eigenstate -> Λ samples -> polynomial -> polished roots.
 
-    The polynomial roots are polished on the exact Rayleigh quotient before
-    sign pairing, which keeps the pairing sharp even when the companion
-    roots of the degree-(4N+2) interpolant carry 1e-6-level noise.
+    The 2N+2 certified circle samples cost one batched transfer application,
+    and every exact Weierstrass step one more of 2N+1 rows, all without a
+    certificate: at a root Λ vanishes and the relative test cannot hold.
     """
     v = _state_vector(state)
-    pts = chebyshev_sample_points(params.two_n)
-    coeffs = fit_lambda_polynomial(pts, lambda_samples(v, params, pts), params.two_n)
-    return _zero_roots(coeffs, lambda us: _transfer_rows(us, params, v) @ v.conj())
+    pts = u_of_w(circle_sample_points(params.two_n))
+    coeffs = fit_lambda_polynomial(lambda_samples(v, params, pts))
+    return _zero_roots(coeffs, lambda w: _transfer_rows(u_of_w(w), params, v) @ v.conj())
 
 
 def transfer_state_roots(params: ModelParams, reference_state: np.ndarray) -> ZeroRootSet:

@@ -17,7 +17,7 @@ import pytest
 
 from competing_chain import (ModelParams, QuadratureSpec, diagonalize,
                              state_zero_roots, lambda_samples,
-                             chebyshev_sample_points, fit_lambda_polynomial,
+                             circle_sample_points, fit_lambda_polynomial,
                              inversion_identity_check, yang_baxter_residual,
                              reflection_residual, hamiltonian_direct,
                              hamiltonian_from_transfer, max_norm,
@@ -26,6 +26,7 @@ from competing_chain import (ModelParams, QuadratureSpec, diagonalize,
                              ground_state_scan, surface_energy,
                              bulk_excitation_energy, string_excitation_energy,
                              boundary_excitation_energy)
+from competing_chain import spectrum
 from competing_chain.bae import default_spread_profile
 from competing_chain.cli import main as cli_main
 
@@ -116,13 +117,15 @@ def test_criterion_4_eigenvalue_certificates():
     for two_n in (4, 6):
         pr = ModelParams.from_q_bar(two_n, 0.66, 1.2, 0.7, 1.2)
         pred0 = 2 * pr.p * pr.q * (1 + pr.a_bar ** 2) ** two_n
-        pts = chebyshev_sample_points(two_n)
+        w = circle_sample_points(two_n)
+        r = spectrum.CIRCLE_RADIUS
+        t0 = (0.25 - spectrum.CIRCLE_CENTER) / r   # u = 0 is w = 1/4
         us = np.array([0.37, 1.1, -0.21])
         for pair in diagonalize(pr):
-            vals = lambda_samples(pair, pr, pts)
-            coeffs = fit_lambda_polynomial(pts, vals, two_n)
-            worst_lead = max(worst_lead, abs(coeffs[-1] / 2.0 - 1.0))
-            lam0 = coeffs[0]
+            vals = lambda_samples(pair, pr, spectrum.u_of_w(w))
+            coeffs = fit_lambda_polynomial(vals)   # in t = (w - c)/R
+            worst_lead = max(worst_lead, abs(coeffs[-1] / r ** (two_n + 1) / 2.0 - 1.0))
+            lam0 = np.polynomial.polynomial.polyval(t0, coeffs)
             worst_zero = max(worst_zero, abs(lam0 - pred0) / abs(pred0))
             left = lambda_samples(pair, pr, us)
             right = lambda_samples(pair, pr, -us - 1.0)

@@ -492,14 +492,14 @@ def test_non_finite_jacobian_rejects_an_accepted_trial(monkeypatch, params_fig4)
 
 
 def test_direct_scan_failure_names_the_direct_solve():
-    # regime V continues to 2N=66; the direct solve at 2N=68 stalls
+    # regime V continues to 2N=56; the direct solve at 2N=58 stalls
     base = ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2)
-    with pytest.raises(SolverError, match="2N=68: direct solve failed: line search stalled") as info:
-        ground_state_scan(base, [8, 68])
+    with pytest.raises(SolverError, match="2N=58: direct solve failed: line search stalled") as info:
+        ground_state_scan(base, [8, 58])
     cause = info.value.__cause__
     assert isinstance(cause, SolverError)
     assert str(cause).startswith("direct solve failed: ")
-    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 68
+    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 58
     assert info.value.history == cause.history and len(cause.history) > 1
 
 

@@ -5,20 +5,21 @@ import subprocess
 import sys
 
 import numpy as np
-import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.polynomial as nppoly
 import pytest
 
-from competing_chain import (ModelParams, apply_transfer, diagonalize,
-                             lambda_samples, chebyshev_sample_points,
+from competing_chain import (ModelParams, ZeroRootSet, apply_transfer, diagonalize,
+                             lambda_samples, circle_sample_points,
                              fit_lambda_polynomial, state_zero_roots,
                              transfer_state_roots, lambda_from_roots,
                              inversion_identity_check, hamiltonian_direct,
-                             roots_to_json, roots_from_json, roots_to_csv)
+                             ground_state_scan, roots_to_json, roots_from_json,
+                             roots_to_csv)
 from competing_chain import spectrum
-from competing_chain.spectrum import _sorted_roots, _zero_roots
+from competing_chain.spectrum import _sorted_roots, _zero_roots, canonical_root, u_of_w
 from competing_chain.bae import REGIMES, default_spread_profile
-from competing_chain.errors import ConsistencyError, DegeneracyError, FitError
+from competing_chain.errors import (ConsistencyError, DegeneracyError, ExtractionError,
+                                    FitError)
 from competing_chain.transfer import transfer_matrix
 from conftest import REGIME_POINTS
 
@@ -113,15 +114,35 @@ def crossing_defect(coeffs) -> float:
     return float(np.max(np.abs(c - reflected)) / scale)
 
 
+def circle_points_u(two_n):
+    return u_of_w(circle_sample_points(two_n))
+
+
+def fit_in_u(coeffs) -> np.ndarray:
+    """Ascending power coefficients in u of the fit in t = (w − c)/R, w = (u + 1/2)^2."""
+    c, r = spectrum.CIRCLE_CENTER, spectrum.CIRCLE_RADIUS
+    t_of_u = nppoly.Polynomial([0.25 - c, 1.0, 1.0]) / r
+    return nppoly.Polynomial(coeffs)(t_of_u).coef
+
+
 def test_fit_degree_and_leading(params_small):
-    # degree 4N+2 = 10 at 2N=4; leading coefficient 2
+    # degree 2N+1 = 5 in w at 2N=4, so 4N+2 = 10 in u; leading coefficient 2
     gs = diagonalize(params_small)[0]
-    pts = chebyshev_sample_points(params_small.two_n)
-    vals = lambda_samples(gs, params_small, pts)
-    coeffs = fit_lambda_polynomial(pts, vals, params_small.two_n)
-    assert len(coeffs) - 1 == 10
-    assert abs(coeffs[-1] / 2.0 - 1.0) <= 1e-6
-    assert crossing_defect(coeffs) <= 1e-8
+    vals = lambda_samples(gs, params_small, circle_points_u(params_small.two_n))
+    coeffs = fit_lambda_polynomial(vals)
+    assert len(coeffs) - 1 == 5
+    in_u = fit_in_u(coeffs)
+    assert len(in_u) - 1 == 10
+    assert abs(in_u[-1] / 2.0 - 1.0) <= 1e-6
+    assert crossing_defect(in_u) <= 1e-8
+
+
+def test_fit_refuses_a_wrong_leading_coefficient(params_small):
+    # Λ of 2N=4 has degree 5 in w: eight samples give a vanishing degree-7 term
+    gs = diagonalize(params_small)[0]
+    vals = lambda_samples(gs, params_small, circle_points_u(6))
+    with pytest.raises(FitError, match="leading coefficient"):
+        fit_lambda_polynomial(vals)
 
 
 def test_crossing_defect_keeps_trailing_zero_coefficients():
@@ -136,7 +157,7 @@ def test_mixed_state_fails_variance_certificate(params_small):
     pairs = diagonalize(params_small)
     kick = np.random.default_rng(3).normal(size=len(pairs[0].state))
     perturbed = pairs[0].state + 1e-3 * kick / np.linalg.norm(kick)
-    pts = chebyshev_sample_points(params_small.two_n)
+    pts = circle_points_u(params_small.two_n)
     for state in ((pairs[0].state + pairs[1].state) / np.sqrt(2.0),
                   perturbed / np.linalg.norm(perturbed)):
         with pytest.raises(DegeneracyError):
@@ -152,26 +173,14 @@ def test_lambda_samples_applies_the_transfer_once(params_small, monkeypatch):
         return apply_transfer(*args)
 
     monkeypatch.setattr(spectrum, "apply_transfer", counted)
-    pts = chebyshev_sample_points(params_small.two_n)
+    pts = circle_points_u(params_small.two_n)
     lambda_samples(diagonalize(params_small)[0], params_small, pts)
     assert len(calls) == 1 and np.array_equal(calls[0], pts)
 
 
-def test_chebyshev_to_power_equals_numpy_convert():
-    # same Clenshaw recurrence on arrays: bit-identical to Chebyshev.convert
-    gen = np.random.default_rng(1140)
-    domain = list(spectrum.DEFAULT_INTERVAL)
-    for length in range(3, 61):
-        for _ in range(3):
-            scale = 10.0 ** gen.uniform(-5.0, 5.0, length)
-            c = scale * (gen.normal(size=length) + 1j * gen.normal(size=length))
-            want = npcheb.Chebyshev(c, domain=domain).convert(kind=nppoly.Polynomial)
-            assert np.array_equal(spectrum._chebyshev_to_power(c), want.coef)
-
-
 def test_sample_points_and_roots_leave_numpy_ma_unloaded():
     # the first state_zero_roots of an ed run would pay numpy.ma's import
-    # (np.unique loads it); the sample points are distinct, so a sort does
+    # (np.unique loads it); the circle points and the FFT need none
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
@@ -191,33 +200,51 @@ def test_sample_points_and_roots_leave_numpy_ma_unloaded():
 
 def test_fit_holdout_residual(params_fig4):
     gs = diagonalize(params_fig4)[0]
-    pts = chebyshev_sample_points(params_fig4.two_n)
-    vals = lambda_samples(gs, params_fig4, pts)
-    coeffs = fit_lambda_polynomial(pts, vals, params_fig4.two_n)
+    vals = lambda_samples(gs, params_fig4, circle_points_u(params_fig4.two_n))
+    coeffs = fit_in_u(fit_lambda_polynomial(vals))
     held = np.linspace(-2.7, 1.6, 8) + 0.037  # fresh points
     fresh = lambda_samples(gs, params_fig4, held)
     rel = np.abs(nppoly.polyval(held, coeffs) - fresh) / np.abs(fresh)
     assert np.max(rel) <= 1e-7
 
 
-def test_fit_condition_guard(params_small):
-    gs = diagonalize(params_small)[0]
-    pts = np.linspace(0.0, 1e-3, 4 * 2 + 5)  # clustered in an absurdly narrow window
-    vals = lambda_samples(gs, params_small, pts)
-    with pytest.raises(FitError, match="condition"):
-        fit_lambda_polynomial(pts, vals, params_small.two_n)
+def exact_curve(roots: ZeroRootSet):
+    """P(w) = Λ(−1/2 + √w) of a root set, the curve state_zero_roots samples and polishes."""
+    return lambda w: lambda_from_roots(u_of_w(w), roots)
+
+
+def roots_of_curve(curve, two_n: int) -> ZeroRootSet:
+    return _zero_roots(fit_lambda_polynomial(curve(circle_sample_points(two_n))), curve)
 
 
 def test_synthetic_root_round_trip():
     z_true = [0.5 + 1.0j, 1.5 + 1.0j, 2.5 + 0.0j, 0.7j, 1.3j]
-    coeffs = np.array([2.0 + 0.0j])
-    for z in z_true:
-        coeffs = nppoly.polymul(coeffs, nppoly.polyfromroots([z - 0.5, -z - 0.5]))
-    back = _zero_roots(coeffs, lambda u: nppoly.polyval(u, coeffs))  # polish on the exact curve
+    back = roots_of_curve(exact_curve(ZeroRootSet(two_n=4, z=tuple(z_true))), 4)
     assert back.two_n == 4   # 2N+1 = 5 sign-pair representatives
     got = np.array(back.z)
     for z in z_true:  # multiset comparison: sort order is noise-sensitive
         assert np.min(np.abs(got - z)) < 1e-8
+
+
+def test_exact_curves_past_2n_12_give_back_their_roots():
+    # the ground-state roots of a BAE scan at 2N = 14, 16, 20 in every regime
+    # come back from their exact curve to 1e-14, where a degree-(4N+2) fit in
+    # u on a real interval lost 1e-7 at 14 and failed from 16 on
+    for p, q_bar in REGIME_POINTS.values():
+        base = ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
+        for two_n, _, roots in ground_state_scan(base, [8, 14, 16, 20])[1:]:
+            back = roots_of_curve(exact_curve(roots), two_n)
+            assert back.two_n == two_n
+            assert np.max(np.abs(np.subtract(back.z, roots.z))) <= 1e-14
+
+
+def test_extraction_stops_at_the_step_cap():
+    # noise of 1e-9 on the exact curve keeps every step far above STEP_TOL
+    poly = exact_curve(ZeroRootSet(two_n=2, z=(0.5 + 1.0j, 2.5 + 0.0j, 0.7j)))
+    coeffs = fit_lambda_polynomial(poly(circle_sample_points(2)))
+    gen = np.random.default_rng(9)
+    with pytest.raises(ExtractionError, match="Weierstrass"):
+        _zero_roots(coeffs, lambda w: poly(w) + 1e-9 * gen.normal(size=w.shape))
 
 
 def test_root_order_ignores_signed_zero_noise():
@@ -232,17 +259,48 @@ def test_root_order_ignores_signed_zero_noise():
         assert np.max(np.abs(np.array(got) - want)) < 1e-15
 
 
+@pytest.fixture(scope="module")
+def low_states_8(regime_points):
+    """Per regime: the 2N=8 parameters and their 8 lowest ED states."""
+    out = {}
+    for regime, (p, q_bar) in regime_points.items():
+        params = ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
+        out[regime] = params, diagonalize(params)[:8]
+    return out
+
+
 @pytest.mark.parametrize("regime", REGIMES)
-def test_polish_has_converged(regime, regime_points, monkeypatch):
-    # one Newton step beyond POLISH_STEPS moves no polished root measurably
-    p, q_bar = regime_points[regime]
-    params = ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
-    states = diagonalize(params)[:8]
-    polished = [state_zero_roots(s, params).z for s in states]
-    monkeypatch.setattr(spectrum, "POLISH_STEPS", spectrum.POLISH_STEPS + 1)
-    for state, roots in zip(states, polished):
-        further = state_zero_roots(state, params).z
-        assert np.max(np.abs(np.subtract(further, roots))) <= 1e-13
+def test_polish_has_converged(regime, low_states_8):
+    # one more exact Weierstrass step moves no root by more than 1e-13
+    params, states = low_states_8[regime]
+    for state in states:
+        roots = state_zero_roots(state, params)
+        w = np.square(roots.z)
+        v = state.state
+        curve = spectrum._transfer_rows(u_of_w(w), params, v) @ v.conj()
+        w_next, _ = spectrum._weierstrass_step(w, curve, 2.0)
+        further = [canonical_root(np.sqrt(x)) for x in w_next]
+        assert np.max(np.abs(np.subtract(further, roots.z))) <= 1e-13
+
+
+def test_zero_roots_stay_within_the_transfer_row_budget(low_states_8, chain_10, monkeypatch):
+    # 2N+2 circle samples plus at most 3 exact steps of 2N+1 rows per state;
+    # 2N=10 at regime V only, the one 1024-dimensional ED the module pays for
+    rows = []
+
+    def counted(us, params, v):
+        rows[-1] += np.asarray(us).size
+        return transfer_rows(us, params, v)
+
+    transfer_rows = spectrum._transfer_rows
+    monkeypatch.setattr(spectrum, "_transfer_rows", counted)
+    chain_10_low = chain_10[0], chain_10[1][:8]
+    for params, states in [*low_states_8.values(), chain_10_low]:
+        two_n = params.two_n
+        for state in states:
+            rows.append(0)
+            state_zero_roots(state, params)
+            assert rows[-1] <= (two_n + 2) + 3 * (two_n + 1)
 
 
 def test_roots_conjugate_closed(params_fig4):
@@ -350,16 +408,16 @@ def test_degenerate_levels_resolve_into_transfer_eigenstates():
         assert worst <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=DegeneracyError, reason=(
-    "at 2N=6, ā=0, p=q=0.5, ξ=0 eight of the 40 lowest states fail the residual "
-    "certificate at the sample u = -0.4999999999999993, the midpoint every grid on "
-    "(-3, 2) contains: Λ has a double zero there (|Λ| <= 1.4e-17), so the "
-    "relative test compares a squared eigen-residual <= 1.7e-30 against "
-    "VAR_TOL |Λ|^2"))
 def test_low_states_sample_across_a_double_zero_of_lambda():
+    # at 2N=6, ā=0, p=q=0.5, ξ=0 Λ of several low states has a double zero at
+    # u = -1/2 (w = 0); the circle |w + 1| = 4 stays clear of it, so every
+    # sample certifies and the roots reproduce Λ off the samples
     params = ModelParams(two_n=6, a_bar=0.0, p=0.5, q=0.5, xi=0.0)
+    us = np.array([0.37, 1.1, -0.21])
     for pair in diagonalize(params)[:40]:
-        state_zero_roots(pair, params)
+        roots = state_zero_roots(pair, params)
+        lam = lambda_samples(pair, params, us)
+        assert np.max(np.abs(lambda_from_roots(us, roots) - lam) / np.abs(lam)) <= 1e-13
 
 
 def _inhomogeneous_chain(two_n):
