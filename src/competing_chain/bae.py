@@ -75,7 +75,6 @@ ENERGY_IMAG_TOL = 1e-8        # largest imaginary part of a consistent root ener
 HALF_MARGIN = 0.02            # least distance of a pure-imaginary seed from z̄ = i/2
 THETA_GROUP_TOL = 1e-12       # θ̄ values closer than this form one confluent group
 SPREAD_SCALE_FLOOR = 0.1      # smallest seed-matched homotopy start scale
-LADDER_AGREE_TOL = 1e-8       # largest root distance of two hits of the same minimum
 ED_SEED_TWO_N = 8             # largest scan start size: dense ED stays below BLOCKED_EIGH_MIN_DIM
 
 _log = logging.getLogger(__name__)
@@ -518,8 +517,8 @@ def _matched_spread_scale(pattern: _Pattern) -> float:
     return max(SPREAD_SCALE_FLOOR, float(np.max(pattern.centers)) / (m - 0.5))
 
 
-RETRY_SPREAD_SCALES = (0.4, 0.25, 0.55, 0.15, 0.8, 0.1)
-RETRY_BETA_SEEDS = (1.12, 1.35)
+RETRY_SPREAD_SCALE = 0.4       # the homotopy start scale tried after the seed-matched one
+RETRY_BETA_SEED = 1.12         # the β seed tried after the seed's own, for β patterns
 
 
 def solve_bae(seed: ZeroRootSet, params: ModelParams,
@@ -530,16 +529,17 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
     An integer homotopy k (default 10) first converges at a spread
     inhomogeneity profile and ramps to the target θ̄ in k steps,
     re-converging at every step.  The equations are satisfied by every
-    transfer eigenstate, so a single converged solve may land on an excited
-    state: the solver walks a deterministic ladder of spread scales (and,
-    for β-carrying patterns, seed-β variants, since β sits just above the
-    2-string line), keeps every certified solution matching the seed's
-    inventory, and returns the lowest-energy one.  homotopy=None attempts a
-    single direct solve at params.theta_bar; an integer homotopy below 1
-    raises ParameterError.  Returned roots carry a certified raw residual
-    <= tol.  On failure the SolverError carries the residual history of the
-    last attempt.  Each Gauss-Newton stage logs its iteration and
-    evaluation counts at DEBUG level on the "competing_chain.bae" logger.
+    transfer eigenstate, so a converged solve may land on an excited state
+    or off the seed's inventory: the solver tries at most four starts, the
+    seed-matched spread scale and RETRY_SPREAD_SCALE, each with the seed's β
+    and, for β-carrying ground-state seeds, RETRY_BETA_SEED (β sits just
+    above the 2-string line), and returns the first certified solution that
+    matches the seed's inventory.  homotopy=None attempts a single direct
+    solve at params.theta_bar; an integer homotopy below 1 raises
+    ParameterError.  Returned roots carry a certified raw residual <= tol.
+    On failure the SolverError carries the residual history of the last
+    attempt.  Each Gauss-Newton stage logs its iteration and evaluation
+    counts at DEBUG level on the "competing_chain.bae" logger.
     """
     if len(seed.z) != params.two_n + 1:
         raise ParameterError(f"seed carries {len(seed.z)} representatives, "
@@ -555,23 +555,17 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
         attempts.append((pattern, [params.theta_bar]))
     else:
         target = np.asarray(params.theta_bar, dtype=float)
-        scales = [_matched_spread_scale(pattern)]
-        scales += [s for s in RETRY_SPREAD_SCALES if s not in scales]
         betas = [None]
         if pattern.beta is not None and seed_tag in REGIMES:
-            betas += list(RETRY_BETA_SEEDS)
-        # root tracking needs finer ramps on longer chains: a second pass
-        # with ~3 steps per site rescues schedules that jump branches
-        for steps in (homotopy, max(3 * params.two_n, 3 * homotopy)):
-            for s0 in scales:
-                start = np.asarray(default_spread_profile(params.two_n, scale=s0))
-                stages = [tuple(start + (target - start) * k / steps)
-                          for k in range(steps + 1)]
-                for b0 in betas:
-                    p0 = pattern if b0 is None else replace(pattern, beta=b0)
-                    attempts.append((p0, stages))
+            betas.append(RETRY_BETA_SEED)
+        for s0 in (_matched_spread_scale(pattern), RETRY_SPREAD_SCALE):
+            start = np.asarray(default_spread_profile(params.two_n, scale=s0))
+            stages = [tuple(start + (target - start) * k / homotopy)
+                      for k in range(homotopy + 1)]
+            for b0 in betas:
+                p0 = pattern if b0 is None else replace(pattern, beta=b0)
+                attempts.append((p0, stages))
 
-    found: list = []  # (surrogate energy, roots)
     last_error: Exception | None = None
     stage_cache: dict = {}  # θ̄ -> _Stage: attempts revisit the same θ̄ lists
     for start_pattern, stages in attempts:
@@ -595,32 +589,13 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
                 raise SolverError(
                     f"converged off-pattern (expected inventory {seed_tag})",
                     best_roots=result, history=history)
-            found.append((_root_energy_sum(result, params.a_bar).real, result))
+            return result
         except (SolverError, DegeneracyError) as exc:
             last_error = exc
-            continue
-        if _ladder_settled(found):
-            break
-    if not found:
-        failed = "direct solve failed" if homotopy is None else "all homotopy schedules failed"
-        raise SolverError(f"{failed}: {last_error}",
-                          best_roots=getattr(last_error, "best_roots", None),
-                          history=getattr(last_error, "history", None))
-    found.sort(key=lambda item: item[0])
-    return found[0][1]
-
-
-def _ladder_settled(found) -> bool:
-    """Stop retrying once the current minimum was reached at least twice."""
-    if len(found) < 2:
-        return False
-    emin, rmin = min(found, key=lambda item: item[0])
-    hits = 0
-    for _, roots in found:
-        dz = np.max(np.abs(np.asarray(roots.z) - np.asarray(rmin.z)))
-        if dz < LADDER_AGREE_TOL:
-            hits += 1
-    return hits >= 2
+    failed = "direct solve failed" if homotopy is None else "all homotopy schedules failed"
+    raise SolverError(f"{failed}: {last_error}",
+                      best_roots=getattr(last_error, "best_roots", None),
+                      history=getattr(last_error, "history", None))
 
 
 def _check_collisions(roots: ZeroRootSet) -> None:
@@ -685,7 +660,7 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
     ED ground state is cheap: its zero roots (spectrum.state_zero_roots)
     seed one direct solve.  Each larger size is seeded from the previous
     solution with new outer string centers appended and takes one direct
-    homogeneous solve.  No size runs the homotopy retry ladder.  A failed
+    homogeneous solve.  No size runs the homotopy.  A failed
     solve, a solution that is not a ground-state inventory, or one that
     lands on an excited branch raises SolverError naming 2N at once (and
     the ED seed at the first size), chained from the solve's error and
@@ -879,22 +854,18 @@ def _match_ground_inventory(pat: RootPattern, imag_pos, real_pos, params):
 # energy
 # ---------------------------------------------------------------------------
 
-def _root_energy_sum(roots: ZeroRootSet, a_bar: float) -> complex:
-    """π(1+4ā²) Σ_l [a_1(z̄_l-ā) + a_1(z̄_l+ā)] over the representatives, any θ̄."""
-    total = 0.0 + 0.0j
-    for z in roots.z:
-        w = -1j * z  # rotated root z̄
-        total += a_kernel(w - a_bar, 1) + a_kernel(w + a_bar, 1)
-    return math.pi * (1.0 + 4.0 * a_bar ** 2) * total
-
-
 def energy_from_roots(roots: ZeroRootSet, params: ModelParams) -> float:
     """Energy of the homogeneous chain from the zero-root representatives."""
     if not params.homogeneous():
         raise ParameterError(
             "the root-energy formula is defined for the homogeneous chain; "
             "supply theta_bar = 0")
-    energy = _root_energy_sum(roots, params.a_bar) - c0_constant(params)
+    a_bar = params.a_bar
+    total = 0.0 + 0.0j
+    for z in roots.z:
+        w = -1j * z  # rotated root z̄
+        total += a_kernel(w - a_bar, 1) + a_kernel(w + a_bar, 1)
+    energy = math.pi * (1.0 + 4.0 * a_bar ** 2) * total - c0_constant(params)
     if abs(energy.imag) > ENERGY_IMAG_TOL:
         raise ConsistencyError(
             f"energy has imaginary part {energy.imag:.3e}; root set is inconsistent")

@@ -6,7 +6,8 @@ verify    residual checks of the algebraic identities and the two
           Hamiltonian constructions; JSON report; exit 1 on any failure
 ed        exact diagonalization: spectrum CSV plus ground-state zero-root
           JSON/CSV (homogeneous, and inhomogeneous when θ̄ is supplied)
-bae       solve the zero-root equations from a regime seed
+bae       ground-state zero roots: the ED ground state at min(2N, 8),
+          continued in size, then ramped to θ̄ when θ̄ is supplied
 classify  structural classification of a stored root set
 thermo    surface-energy decomposition at one parameter point
 scan      parameter sweeps of the thermodynamic formulas (CSV)
@@ -180,11 +181,13 @@ def cmd_ed(args) -> int:
 
 def cmd_bae(args) -> int:
     params = _build_params(args)
-    regime = args.regime or bae.regime_of(abs(params.p), params.q_bar)
-    seed = bae.seed_roots(regime, params)
-    homotopy = args.homotopy_steps if args.homotopy_steps > 0 else None
-    sol = bae.solve_bae(seed, params, homotopy=homotopy, tol=args.tol,
-                        max_iter=args.max_iter)
+    [(_, _, sol)] = bae.ground_state_scan(params.at_homogeneous_point(), [params.two_n],
+                                          tol=args.tol)
+    if not params.homogeneous():
+        target = np.asarray(params.theta_bar)
+        for k in range(1, bae.HOMOTOPY_STEPS + 1):
+            sol = bae.solve_bae(sol, params.with_theta_bar(target * k / bae.HOMOTOPY_STEPS),
+                                homotopy=None, tol=args.tol)
     pattern = bae.classify_pattern(sol, params)
     doc = json.loads(spectrum.roots_to_json(sol, params))
     doc["regime"] = pattern.regime
@@ -312,12 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bae = sub.add_parser("bae", help="solve the zero-root equations")
     _add_common(p_bae)
-    p_bae.add_argument("--regime", choices=bae.REGIMES,
-                       help="override the seed inventory")
     p_bae.add_argument("--tol", type=float, default=1e-10)
-    p_bae.add_argument("--max-iter", dest="max_iter", type=int, default=200)
-    p_bae.add_argument("--homotopy-steps", dest="homotopy_steps", type=int,
-                       default=10, help="0 disables the inhomogeneity ramp")
     p_bae.set_defaults(func=cmd_bae)
 
     p_cls = sub.add_parser("classify", help="classify a stored root set")

@@ -562,19 +562,3 @@ def test_solve_bae_classifies_its_seed_once(monkeypatch, params_fig4):
     monkeypatch.setattr(bae, "classify_pattern", spy)
     solve_bae(seed, params_fig4, homotopy=3)
     assert seen.count(True) == 1
-
-
-@pytest.mark.xfail(strict=True, reason="the retry ladder stops once one minimum is hit twice "
-                   "(bae._ladder_settled) and returns an excited state at -15.867963969080519; "
-                   "a later rung reaches the ED ground energy")
-def test_cold_solve_reaches_the_ed_ground_state_past_a_settled_minimum():
-    # regime III at 2N=8: the ED ground state carries the regime-III
-    # inventory, and with the settle rule off the ladder reaches it
-    # (-16.343255643480767)
-    pr = ModelParams.from_q_bar(8, 0.3231522811642001, 1.0840470232578954,
-                                0.23756326536899386, 0.40153790832243863)
-    gs = diagonalize(pr)[0]
-    assert regime_of(abs(pr.p), pr.q_bar) == "III"
-    assert classify_pattern(state_zero_roots(gs, pr), pr).regime == "III"
-    sol = solve_bae(seed_roots("III", pr), pr)
-    assert abs(energy_from_roots(sol, pr) - gs.energy) <= 1e-8

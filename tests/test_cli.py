@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from competing_chain import (ModelParams, boundary_excitation_energy, c2_constant,
-                             energy_from_roots, transfer)
+                             diagonalize, energy_from_roots, ground_state_scan, transfer)
 from competing_chain.cli import main
 from competing_chain.spectrum import roots_from_json
 
@@ -57,8 +57,11 @@ def test_usage_error_exit_code(capsys):
     ["thermo", "--quad-method", "gauss"],
     ["scan", "--quantity", "eb0", "--var", "a_bar", "--grid", "0:1:3",
      "--quad-method", "gauss"],
+    ["bae", "--regime", "V"],
+    ["bae", "--homotopy-steps", "10"],
+    ["bae", "--max-iter", "50"],
 ], ids=["verify-tol-scale", "verify-break-c2-sign", "thermo-quad-method",
-        "scan-quad-method"])
+        "scan-quad-method", "bae-regime", "bae-homotopy-steps", "bae-max-iter"])
 def test_removed_flags_are_usage_errors(capsys, args):
     with pytest.raises(SystemExit) as exc:
         run(args + ["--two-n", "4"])
@@ -125,19 +128,65 @@ def test_bae_and_classify(tmp_path):
     assert len(cdoc["pairs_n2"]) == 8
 
 
-BAE_AT_DEFAULTS_XFAIL_REASON = (
-    "known solver defect: at the ModelParams defaults (a_bar=0, p=q=1, xi=0) "
-    "`competing-chain bae --two-n 8` exits 1 with \"all homotopy schedules "
-    "failed: converged off-pattern (expected inventory V)\"")
-
-
-@pytest.mark.xfail(strict=True, reason=BAE_AT_DEFAULTS_XFAIL_REASON)
 def test_bae_solves_at_parameter_defaults(tmp_path):
+    # ā=0, p=q=1, ξ=0
     roots = tmp_path / "roots.json"
     assert run(["bae", "--two-n", "8", "--out", str(roots)]) == 0
     doc = json.loads(roots.read_text())
     assert doc["regime"] == "V"
     assert doc["residual"] <= 1e-10
+    assert abs(doc["energy"] - diagonalize(ModelParams(two_n=8))[0].energy) <= 1e-8
+
+
+BAE_REGIME_II_AT_ZERO_A_BAR_XFAIL_REASON = (
+    "known solver defect: at a_bar=0, p=0.05, q=-0.25, xi=0, where the ED ground "
+    "state carries the regime-II inventory, `competing-chain bae --two-n 8` exits 1 "
+    "with \"size continuation failed at 2N=8 (ED ground-state seed): direct solve "
+    "failed: line search stalled at residual 1.455e-09\"")
+
+
+@pytest.mark.xfail(strict=True, reason=BAE_REGIME_II_AT_ZERO_A_BAR_XFAIL_REASON)
+def test_bae_solves_regime_ii_at_zero_a_bar(tmp_path):
+    roots = tmp_path / "roots.json"
+    assert run(["bae", "--two-n", "8", "--p", "0.05", "--q", "-0.25",
+                "--out", str(roots)]) == 0
+    doc = json.loads(roots.read_text())
+    assert doc["regime"] == "II"
+    gs = diagonalize(ModelParams(two_n=8, p=0.05, q=-0.25))[0]
+    assert abs(doc["energy"] - gs.energy) <= 1e-8
+
+
+def test_bae_reaches_the_ed_ground_state_in_regime_iii(tmp_path):
+    # the ED ground state carries the regime-III inventory, and so does an
+    # excited state at -15.867963969080519
+    roots = tmp_path / "roots.json"
+    assert run(["bae", "--two-n", "8", "--a-bar", "0.3231522811642001",
+                "--p", "1.0840470232578954", "--q", "0.2559993797508324",
+                "--xi", "0.40153790832243863", "--out", str(roots)]) == 0
+    doc = json.loads(roots.read_text())
+    assert doc["regime"] == "III"
+    assert abs(doc["energy"] - (-16.343255643477967)) <= 1e-8
+
+
+README_BAE_POINT = ["--a-bar", "0.66", "--p", "1.2", "--q", "1.09343", "--xi", "1.2"]
+
+
+def test_bae_continues_in_size_past_the_ed_seed(tmp_path):
+    roots = tmp_path / "roots.json"
+    assert run(["bae", "--two-n", "16", *README_BAE_POINT, "--out", str(roots)]) == 0
+    [(_, energy, _)] = ground_state_scan(
+        ModelParams(two_n=16, a_bar=0.66, p=1.2, q=1.09343, xi=1.2), [16])
+    assert json.loads(roots.read_text())["energy"] == energy
+
+
+def test_bae_theta_ramp_reaches_the_ed_transfer_eigenstate(tmp_path):
+    flags = ["--two-n", "4", *README_BAE_POINT, "--theta=0.1,-0.1,0.2,-0.2"]
+    assert run(["bae", *flags, "--out", str(tmp_path / "roots.json")]) == 0
+    assert run(["ed", *flags, "--out", str(tmp_path / "run")]) == 0
+    solved, params = roots_from_json((tmp_path / "roots.json").read_text())
+    ed_roots, ed_params = roots_from_json((tmp_path / "run_roots_inh.json").read_text())
+    assert params == ed_params and not params.homogeneous()
+    assert np.max(np.abs(np.array(solved.z) - np.array(ed_roots.z))) <= 1e-12
 
 
 def test_thermo_json(tmp_path):

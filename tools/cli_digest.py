@@ -10,8 +10,9 @@ at ā=0.66, p=1.2, q=1.09343, ξ=1.2 (the size the benchmark verifies, so
 the 2N=8 dense t(u) and t'(u) residuals are recorded), an ``eb0`` scan
 over ā (a scan quantity no README example writes) and ``ed --two-n 10``
 at the same point with ten inhomogeneities ``--out inh10`` (the
-inhomogeneous t(u*) eigenstate at 2N=10), all inside a temporary
-directory.  Each command's standard output and standard error
+inhomogeneous t(u*) eigenstate at 2N=10), then ``bae --two-n 16`` (size
+continuation past the 2N=8 ED seed) and ``bae --two-n 4 --theta=...`` (the
+θ̄ ramp) at the same point, all inside a temporary directory.  Each command's standard output and standard error
 are saved beside the files it writes.  Prints one ``sha256  file`` line per file, sorted by name, so two
 trees that compute the same numbers print the same list.
 
@@ -39,7 +40,11 @@ EXTRA_COMMANDS = ["competing-chain ed --two-n 10 --states 8",
                   "competing-chain verify --two-n 8 --a-bar 0.66 --p 1.2 --q 1.09343 --xi 1.2",
                   "competing-chain scan --quantity eb0 --var a_bar --grid=0:1.2:7 --two-n 8",
                   "competing-chain ed --two-n 10 --a-bar 0.66 --p 1.2 --q 1.09343 --xi 1.2 "
-                  "--theta=-0.45,-0.35,-0.25,-0.15,-0.05,0.05,0.15,0.25,0.35,0.45 --out inh10"]
+                  "--theta=-0.45,-0.35,-0.25,-0.15,-0.05,0.05,0.15,0.25,0.35,0.45 --out inh10",
+                  "competing-chain bae --two-n 16 --a-bar 0.66 --p 1.2 --q 1.09343 --xi 1.2 "
+                  "--out bae16.json",
+                  "competing-chain bae --two-n 4 --a-bar 0.66 --p 1.2 --q 1.09343 --xi 1.2 "
+                  "--theta=0.1,-0.1,0.2,-0.2 --out bae_inh4.json"]
 
 
 def _readme_commands() -> list:
