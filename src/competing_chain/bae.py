@@ -10,11 +10,13 @@ The factors of a(u) are read from the zero/pole table transfer.a_table.
 
 Solver internals
 ----------------
-Unknowns are reduced real coordinates per root category: string centers c_m
-with imaginary offsets d_m (pairs c_m ± i d_m in the rotated z̄ plane),
-boundary-pair heights, the real pair α and the imaginary pair β.  This
-enforces sign and conjugation symmetry exactly and makes the system square.
-The representatives are a linear map of the coordinates, z = M |y|.
+Unknowns are positive reals read straight off the rotated roots z̄: the
+centers c_m and heights d_m of the string pairs c_m ± i d_m, the heights b
+of the imaginary pairs ± i b and the positions α of the real pairs ± α.
+Every root set closed under sign and conjugation has 2N+1 of them, so the
+symmetry holds exactly and the system is square; no regime inventory enters
+the coordinates (only classify_pattern knows those).  The representatives
+are a linear map of the coordinates, z = M |y|.
 
 At coalescing inhomogeneity values the pointwise equations degenerate, so
 Newton works on confluent residuals: with L(u) the log of the fused-identity
@@ -67,6 +69,7 @@ SEED_ALPHA = 3.0
 SEED_BETA_OFFSET = 0.2
 JET_SCALE = 0.5
 HOMOTOPY_STEPS = 10
+MAX_ITER = 200                # Gauss-Newton iterations per θ̄ stage
 COLLISION_TOL = 1e-8          # minimum separation of the solved roots
 CLASSIFY_TOL_SCALE = 1e-4     # axis tolerance per root, times (1 + |root|)
 STRING_TOL = 0.35             # |2 Im z̄ - n| for an n-string member
@@ -149,36 +152,20 @@ class RootPattern:
 
 @dataclass
 class _Pattern:
-    """Reduced solver coordinates: everything is a positive real."""
+    """Reduced solver coordinates in the rotated z̄ plane: every entry is a positive real."""
 
-    centers: np.ndarray          # M independent string centers (> 0)
-    heights: np.ndarray          # M string imaginary offsets (≈ 1)
-    boundary_tags: tuple         # which boundary pairs are present
-    boundary: np.ndarray         # their heights (≈ |p|+1/2, |q̄|+1/2)
-    alpha: float | None
-    beta: float | None
+    centers: np.ndarray          # string pairs c ± i d: the centers c
+    heights: np.ndarray          # and their imaginary offsets d
+    imag: np.ndarray             # imaginary pairs ± i b: the heights b
+    real: np.ndarray             # real pairs ± α: the positions α
 
     def encode(self) -> np.ndarray:
-        parts = [self.centers, self.heights, self.boundary]
-        if self.alpha is not None:
-            parts.append([self.alpha])
-        if self.beta is not None:
-            parts.append([self.beta])
-        return np.concatenate([np.asarray(p, dtype=float) for p in parts])
+        return np.concatenate([self.centers, self.heights, self.imag, self.real])
 
     def decode(self, x: np.ndarray) -> "_Pattern":
         x = np.abs(np.asarray(x, dtype=float))
         m = len(self.centers)
-        nb = len(self.boundary)
-        centers = x[:m]
-        heights = x[m:2 * m]
-        boundary = x[2 * m:2 * m + nb]
-        k = 2 * m + nb
-        alpha = x[k] if self.alpha is not None else None
-        if self.alpha is not None:
-            k += 1
-        beta = x[k] if self.beta is not None else None
-        return _Pattern(centers, heights, self.boundary_tags, boundary, alpha, beta)
+        return _Pattern(*np.split(x, [m, 2 * m, 2 * m + len(self.imag)]))
 
     def z_map(self) -> np.ndarray:
         """Linear map M from encode() coordinates to z_reps(), z = i z̄."""
@@ -187,11 +174,8 @@ class _Pattern:
         for i in range(m):
             zm[2 * i, i] = zm[2 * i + 1, i] = 1j   # z̄ = c ± i d
             zm[2 * i, m + i], zm[2 * i + 1, m + i] = -1.0, 1.0
-        for j in range(2 * m, k):
-            zm[j, j] = 1.0                        # boundary heights and β: z̄ = i b
-        if self.alpha is not None:
-            alpha_col = 2 * m + len(self.boundary)
-            zm[alpha_col, alpha_col] = 1j         # z̄ = α
+        axis = np.arange(2 * m, k)
+        zm[axis, axis] = np.where(axis < 2 * m + len(self.imag), 1.0, 1j)  # z̄ = i b, z̄ = α
         return zm
 
     def z_reps(self) -> np.ndarray:
@@ -212,14 +196,11 @@ def _seed_pattern(regime, params) -> _Pattern:
     spec = pattern_spec(regime, params)
     m = spec.n_centers // 2
     centers = np.array([SEED_Z_MAX * (2 * k - 1) / (2 * m) for k in range(1, m + 1)])
-    heights = np.ones(m)
-    boundary = np.array([_avoid_half(boundary_height(tag, params))
-                         for tag in spec.boundary])
-    alpha = SEED_ALPHA if spec.has_alpha else None
-    beta = None
+    imag = [boundary_height(tag, params) for tag in spec.boundary]
     if spec.has_beta:
-        beta = _avoid_half(min(abs(params.p), abs(params.q_bar)) + SEED_BETA_OFFSET)
-    return _Pattern(centers, heights, spec.boundary, boundary, alpha, beta)
+        imag.append(min(abs(params.p), abs(params.q_bar)) + SEED_BETA_OFFSET)
+    return _Pattern(centers, np.ones(m), np.array([_avoid_half(b) for b in imag]),
+                    np.array([SEED_ALPHA] if spec.has_alpha else []))
 
 
 def _avoid_half(value: float) -> float:
@@ -428,7 +409,7 @@ def _reduced_jacobian(stage: _Stage, z_map: np.ndarray, y: np.ndarray, z: np.nda
 
 
 def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
-                  max_iter: int, history: list, stage_cache: dict) -> _Pattern:
+                  history: list, stage_cache: dict) -> _Pattern:
     """Damped Gauss-Newton at one θ̄ stage.
 
     Line-search trials evaluate the residual only; the Jacobian is built at
@@ -453,7 +434,7 @@ def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
             outcome = "non-finite seed"
             raise SolverError("seed evaluates to a non-finite residual", history=history)
         fnorm = np.max(np.abs(f))
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             history.append(fnorm)
             if fnorm <= tol:
                 break
@@ -486,7 +467,7 @@ def _gauss_newton(pattern: _Pattern, params: ModelParams, tol: float,
             return pattern.decode(y)
         outcome = "iteration limit"
         raise SolverError(
-            f"no convergence in {max_iter} iterations (residual {fnorm:.3e})",
+            f"no convergence in {MAX_ITER} iterations (residual {fnorm:.3e})",
             best_roots=pattern.decode(y).root_set(params.two_n, fnorm),
             history=history)
     finally:
@@ -510,10 +491,11 @@ def _matched_spread_scale(pattern: _Pattern) -> float:
     Strong inhomogeneity pins each string center to its θ̄ node, so starting
     the ramp where the node ladder coincides with the seed centers puts the
     seed inside the ground-state basin; a uniform ladder c_m = z(2m-1)/(2M)
-    corresponds to scale z/M.  Every ground-state inventory has at least
-    2N-2 >= 2 string centers, so M >= 1.
+    corresponds to scale z/M.  A seed without strings starts at the floor.
     """
     m = len(pattern.centers)
+    if m == 0:
+        return SPREAD_SCALE_FLOOR
     return max(SPREAD_SCALE_FLOOR, float(np.max(pattern.centers)) / (m - 0.5))
 
 
@@ -522,9 +504,8 @@ RETRY_BETA_SEED = 1.12         # the β seed tried after the seed's own, for β 
 
 
 def solve_bae(seed: ZeroRootSet, params: ModelParams,
-              homotopy: int | None = HOMOTOPY_STEPS, tol: float = 1e-10,
-              max_iter: int = 200) -> ZeroRootSet:
-    """Damped Gauss-Newton solve from a structured seed.
+              homotopy: int | None = HOMOTOPY_STEPS, tol: float = 1e-10) -> ZeroRootSet:
+    """Damped Gauss-Newton solve from any seed closed under sign and conjugation.
 
     An integer homotopy k (default 10) first converges at a spread
     inhomogeneity profile and ramps to the target θ̄ in k steps,
@@ -534,9 +515,12 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
     seed-matched spread scale and RETRY_SPREAD_SCALE, each with the seed's β
     and, for β-carrying ground-state seeds, RETRY_BETA_SEED (β sits just
     above the 2-string line), and returns the first certified solution that
-    matches the seed's inventory.  homotopy=None attempts a single direct
-    solve at params.theta_bar; an integer homotopy below 1 raises
-    ParameterError.  Returned roots carry a certified raw residual <= tol.
+    matches the seed's inventory.  A seed that classifies as no ground-state
+    inventory is solved as it is, with no inventory check and no β retry.
+    homotopy=None attempts a single direct solve at params.theta_bar; an
+    integer homotopy below 1 raises ParameterError, and so does a seed that
+    is not closed under sign and conjugation.  Returned roots carry a
+    certified raw residual <= tol.
     On failure the SolverError carries the residual history of the last
     attempt.  Each Gauss-Newton stage logs its iteration and evaluation
     counts at DEBUG level on the "competing_chain.bae" logger.
@@ -546,8 +530,8 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
                              f"expected {params.two_n + 1}")
     if homotopy is not None and homotopy < 1:
         raise ParameterError(f"homotopy needs at least one step, got {homotopy}")
+    pattern = _pattern_from_roots(seed)
     seed_cls = classify_pattern(seed, params)
-    pattern = _pattern_from_roots(seed, seed_cls)
     seed_tag = seed_cls.regime
 
     attempts = []  # (starting pattern, θ̄ stages)
@@ -555,16 +539,16 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
         attempts.append((pattern, [params.theta_bar]))
     else:
         target = np.asarray(params.theta_bar, dtype=float)
-        betas = [None]
-        if pattern.beta is not None and seed_tag in REGIMES:
-            betas.append(RETRY_BETA_SEED)
+        starts = [pattern]
+        if seed_tag in REGIMES and seed_cls.imaginary_pair is not None:
+            imag = pattern.imag.copy()
+            imag[np.argmin(np.abs(imag - seed_cls.imaginary_pair))] = RETRY_BETA_SEED
+            starts.append(replace(pattern, imag=imag))
         for s0 in (_matched_spread_scale(pattern), RETRY_SPREAD_SCALE):
             start = np.asarray(default_spread_profile(params.two_n, scale=s0))
             stages = [tuple(start + (target - start) * k / homotopy)
                       for k in range(homotopy + 1)]
-            for b0 in betas:
-                p0 = pattern if b0 is None else replace(pattern, beta=b0)
-                attempts.append((p0, stages))
+            attempts.extend((p0, stages) for p0 in starts)
 
     last_error: Exception | None = None
     stage_cache: dict = {}  # θ̄ -> _Stage: attempts revisit the same θ̄ lists
@@ -575,8 +559,7 @@ def solve_bae(seed: ZeroRootSet, params: ModelParams,
             for theta in stages:
                 stage_params = params.with_theta_bar(theta)
                 trial = _gauss_newton(trial, stage_params, tol=tol / 10.0,
-                                      max_iter=max_iter, history=history,
-                                      stage_cache=stage_cache)
+                                      history=history, stage_cache=stage_cache)
             roots = trial.root_set(params.two_n)
             raw = np.max(np.abs(bae_residual(roots, params)))
             if raw > tol:
@@ -606,26 +589,32 @@ def _check_collisions(roots: ZeroRootSet) -> None:
         raise DegeneracyError(f"root collision: minimum separation {np.min(diffs):.3e}")
 
 
-def _pattern_from_roots(roots: ZeroRootSet, cls: RootPattern) -> _Pattern:
-    """Rebuild reduced coordinates from a structured root set and its classification."""
-    if cls.extra_strings or cls.boundary_strings or cls.extra_real or cls.unmatched:
-        raise ParameterError("seed root set is not a ground-state inventory")
-    centers = []
-    heights = []
-    seen = set()
-    zb = np.asarray(roots.z_bar, dtype=complex)
-    for w in zb:
-        c, d = abs(w.real), abs(w.imag)
-        if c > 1e-9 and d > 1e-9:
-            key = (round(c, 9), round(d, 9))
-            if key not in seen:
-                seen.add(key)
-                centers.append(c)
-                heights.append(d)
-    tags = tuple(tag for tag, _ in cls.boundary_pairs)
-    boundary = np.asarray([b for _, b in cls.boundary_pairs])
-    return _Pattern(np.asarray(centers), np.asarray(heights), tags, boundary,
-                    cls.real_pair, cls.imaginary_pair)
+def _pattern_from_roots(roots: ZeroRootSet) -> _Pattern:
+    """Read the reduced coordinates off a root set closed under sign and conjugation.
+
+    A rotated root within CLASSIFY_TOL_SCALE (1+|z̄|) of the real or the
+    imaginary axis is a real or an imaginary pair.  Any other root is a member
+    of a string pair c ± i d, up to sign; the member c + i d gives the center
+    and the height, and its conjugate partner adds nothing.  A set that is
+    not closed under sign and conjugation has a coordinate count other than
+    2N+1 and raises ParameterError.
+    """
+    centers, heights, imag, real = [], [], [], []
+    for w in np.asarray(roots.z_bar, dtype=complex):
+        eps = CLASSIFY_TOL_SCALE * (1.0 + abs(w))
+        if abs(w.imag) <= eps:
+            real.append(abs(w.real))
+        elif abs(w.real) <= eps:
+            imag.append(abs(w.imag))
+        elif (w.imag > 0.0) == (w.real > 0.0):
+            centers.append(abs(w.real))
+            heights.append(abs(w.imag))
+    pattern = _Pattern(*(np.asarray(v, dtype=float) for v in (centers, heights, imag, real)))
+    count = len(pattern.encode())
+    if count != roots.two_n + 1:
+        raise ParameterError(f"seed root set is not closed under sign and conjugation: "
+                             f"{count} coordinates, expected {roots.two_n + 1}")
+    return pattern
 
 
 def _extend_pattern(pattern: _Pattern, new_m: int) -> _Pattern:
@@ -649,8 +638,7 @@ def _extend_pattern(pattern: _Pattern, new_m: int) -> _Pattern:
         slope = (c[-1] - c[-2]) / (q_old[-1] - q_old[-2]) if m > 1 else c[-1] / q_old[-1]
         cn[mask] = c[-1] + slope * (q_new[mask] - q_old[-1])
     hn = np.interp(q_new, q_old, h)
-    return _Pattern(cn, hn, pattern.boundary_tags, pattern.boundary.copy(),
-                    pattern.alpha, pattern.beta)
+    return _Pattern(cn, hn, pattern.imag.copy(), pattern.real.copy())
 
 
 def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
@@ -709,7 +697,7 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
                 raise SolverError(
                     f"size continuation lost the ground state at 2N={two_n}",
                     best_roots=sol)
-        prev = (_pattern_from_roots(sol, cls), two_n, energy)
+        prev = (_pattern_from_roots(sol), two_n, energy)
         if two_n in requested:
             results.append((two_n, energy, sol))
     return results

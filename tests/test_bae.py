@@ -77,6 +77,73 @@ def test_exact_small_instance_residual(params_small):
         assert np.max(np.abs(bae_residual(roots, params_small))) <= 1e-10
 
 
+@pytest.mark.parametrize("case", ["small", "fig4-6"])
+def test_direct_solve_polishes_every_ed_eigenstate(case, params_small):
+    # the solver coordinates describe any sign- and conjugation-closed root
+    # set, so excited inventories polish as well as ground-state ones
+    pr = params_small if case == "small" else ModelParams.from_q_bar(6, 0.66, 1.2, 0.7, 1.2)
+    pairs = diagonalize(pr)
+    assert len(pairs) == 2 ** pr.two_n
+    for pair in pairs:
+        sol = solve_bae(state_zero_roots(pair, pr), pr, homotopy=None)
+        assert sol.residual <= 1e-10
+        assert abs(energy_from_roots(sol, pr) - pair.energy) <= 1e-10
+
+
+def test_homotopy_starts_a_seed_without_strings(params_small):
+    # an excited 2N=4 state made of imaginary and real pairs only: the
+    # spread scale falls back to its floor instead of failing on no centers
+    for pair in diagonalize(params_small):
+        seed = state_zero_roots(pair, params_small)
+        pattern = bae._pattern_from_roots(seed)
+        if len(pattern.centers) == 0:
+            break
+    else:
+        pytest.fail("no 2N=4 eigenstate without string pairs")
+    assert bae._matched_spread_scale(pattern) == bae.SPREAD_SCALE_FLOOR
+    sol = solve_bae(seed, params_small, homotopy=3)
+    assert abs(energy_from_roots(sol, params_small) - pair.energy) <= 1e-10
+
+
+def test_pattern_from_roots_refuses_an_unpaired_string_member(params_fig4):
+    roots = solve_bae(state_zero_roots(diagonalize(params_fig4)[0], params_fig4),
+                      params_fig4, homotopy=None)
+    z = list(roots.z)
+    # reflect one lower string member c - i d onto c + i d: five upper members
+    # and three lower, so the coordinates no longer number 2N+1
+    k = next(i for i, w in enumerate(roots.z_bar) if w.imag < -1e-3 and w.real > 1e-3)
+    z[k] = -z[k].conjugate()
+    with pytest.raises(ParameterError, match="closed under sign and conjugation"):
+        bae._pattern_from_roots(ZeroRootSet(two_n=8, z=tuple(z)))
+
+
+def _moved_along_the_certified_null_space(params):
+    # solved coordinates moved by 7e-7 along a null vector of the certified
+    # rows' reduced Jacobian (rank 2 of 2N+1 at θ̄ = 0)
+    sol = solve_bae(state_zero_roots(diagonalize(params)[0], params), params, homotopy=None)
+    pattern = bae._pattern_from_roots(sol)
+    z_map, y = pattern.z_map(), pattern.encode()
+    certified = bae._Stage.at(params.thetas + params.a, np.zeros(params.two_n, dtype=int),
+                              params)
+    _, _, vt = np.linalg.svd(bae._reduced_jacobian(certified, z_map, y, z_map @ y))
+    moved = y + 7e-7 * vt[-1]
+    return pattern.decode(moved).root_set(params.two_n), z_map @ np.abs(moved)
+
+
+def test_roots_moved_along_the_certified_null_space_leave_the_solved_system(params_fig4):
+    _, z = _moved_along_the_certified_null_space(params_fig4)
+    assert np.max(np.abs(bae._Stage.of(params_fig4).residual(z))) > 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: at θ̄=0 bae_residual evaluates one node equation 2N times "
+    "and never the jet rows, so roots moved 4.8e-7 off the solution along the "
+    "certified rows' null space still certify at ~6e-13 against tol 1e-10"))
+def test_certificate_rejects_roots_moved_along_its_null_space(params_fig4):
+    moved, _ = _moved_along_the_certified_null_space(params_fig4)
+    assert np.max(np.abs(bae_residual(moved, params_fig4))) > 1e-10
+
+
 def test_solve_regime_v_closure(params_fig4):
     gs = diagonalize(params_fig4)[0]
     seed = seed_roots("V", params_fig4)
@@ -120,10 +187,11 @@ def test_closed_form_jacobian_matches_central_differences(regime, spread, regime
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
-def test_solver_error_history_covers_one_attempt(params_fig4):
+def test_solver_error_history_covers_one_attempt(monkeypatch, params_fig4):
     # one iteration per stage fails every ladder attempt after one residual
+    monkeypatch.setattr(bae, "MAX_ITER", 1)
     with pytest.raises(SolverError) as info:
-        solve_bae(seed_roots("V", params_fig4), params_fig4, max_iter=1)
+        solve_bae(seed_roots("V", params_fig4), params_fig4)
     assert len(info.value.history) == 1
 
 
@@ -311,7 +379,7 @@ def test_ed_seed_failure_ends_the_scan_without_a_ladder(failure, monkeypatch):
         stages.append(params.two_n)
         raise SolverError("injected", best_roots=marker, history=[0.25])
 
-    def not_an_inventory(roots, cls):
+    def not_an_inventory(roots):
         raise ParameterError("seed root set is not a ground-state inventory")
 
     monkeypatch.setattr(bae, "solve_bae", spy)
@@ -486,20 +554,20 @@ def test_non_finite_jacobian_rejects_an_accepted_trial(monkeypatch, params_fig4)
         return None if len(points) == 2 else jacobian(stage, z_map, y, z)
 
     monkeypatch.setattr(bae, "_reduced_jacobian", refuse_first_trial)
-    bae._gauss_newton(pattern, pr, tol=1e-11, max_iter=200, history=[], stage_cache={})
+    bae._gauss_newton(pattern, pr, tol=1e-11, history=[], stage_cache={})
     y0, first, second = points[:3]
     assert np.allclose(second - y0, 0.5 * (first - y0), rtol=0, atol=1e-15)
 
 
 def test_direct_scan_failure_names_the_direct_solve():
-    # regime V continues to 2N=56; the direct solve at 2N=58 stalls
+    # regime V continues to 2N=60; the direct solve at 2N=62 stalls
     base = ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2)
-    with pytest.raises(SolverError, match="2N=58: direct solve failed: line search stalled") as info:
-        ground_state_scan(base, [8, 58])
+    with pytest.raises(SolverError, match="2N=62: direct solve failed: line search stalled") as info:
+        ground_state_scan(base, [8, 62])
     cause = info.value.__cause__
     assert isinstance(cause, SolverError)
     assert str(cause).startswith("direct solve failed: ")
-    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 58
+    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 62
     assert info.value.history == cause.history and len(cause.history) > 1
 
 
