@@ -5,8 +5,8 @@ chiral three-spin and boundary antisymmetric couplings two independent ways
 (explicit spin operators and transfer-matrix generation), reconstructs the
 transfer eigenvalues and their zero roots per eigenstate, solves the
 homogeneous zero-root equations with regime-aware seeds, and evaluates the
-thermodynamic-limit surface energy and excitation curves by certified
-quadrature.
+thermodynamic-limit surface energy and excitation curves in closed form
+(digamma functions), with certified quadrature as the independent check.
 """
 
 from .params import ModelParams, Couplings, couplings, c0_constant, c2_constant

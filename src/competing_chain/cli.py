@@ -221,7 +221,7 @@ def cmd_classify(args) -> int:
 
 def cmd_thermo(args) -> int:
     params = _build_params(args)
-    result = thermo.surface_energy(params, thermo.QuadratureSpec(abs_tol=args.quad_tol))
+    result = thermo.surface_energy(params)
     doc = {"params": params.to_dict()}
     doc.update(result.to_dict())
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -238,26 +238,25 @@ SCAN_QUANTITIES = tuple(_SCAN_HEADERS)
 SCAN_VARIABLES = ("p", "q", "xi", "a_bar", "z_bar")
 
 
-def _scan_row(quantity, var, value, params, spec):
+def _scan_row(quantity, var, value, params):
     if var != "z_bar":
         pr = ModelParams.from_dict({**params.to_dict(), var: value})
     else:
         pr = params
     try:
         if quantity == "surface":
-            res = thermo.surface_energy(pr, spec)
+            res = thermo.surface_energy(pr)
             return ([res.value, res.components["e_b_p"], res.components["e_b_q"],
                      res.components["e_b0"], res.est_error], "ok")
         if quantity == "eb0":
             res = thermo.surface_energy(
-                ModelParams(two_n=pr.two_n, a_bar=pr.a_bar, p=1.0, q=1.0, xi=0.0),
-                spec)
+                ModelParams(two_n=pr.two_n, a_bar=pr.a_bar, p=1.0, q=1.0, xi=0.0))
             return ([res.components["e_b0"], res.est_error], "ok")
         if quantity == "bulk_excitation":
-            return (list(thermo._bulk_excitation(value if var == "z_bar" else 0.0,
-                                                 pr, spec)), "ok")
+            z_bar = value if var == "z_bar" else 0.0
+            return (list(thermo._bulk_excitation(z_bar, pr)), "ok")
         b = pr.q_bar if var == "q" else pr.p
-        return (list(thermo._boundary_excitation(b, pr, spec)), "ok")
+        return (list(thermo._boundary_excitation(b, pr)), "ok")
     except CompetingChainError:
         return (None, "divergent")
 
@@ -269,11 +268,10 @@ def cmd_scan(args) -> int:
         grid = np.linspace(float(lo), float(hi), int(num))
     except ValueError as exc:
         raise ParameterError(f"malformed grid spec {args.grid!r}") from exc
-    spec = thermo.QuadratureSpec(abs_tol=args.quad_tol)
     ncols = len(_SCAN_HEADERS[args.quantity])
     lines = [",".join([args.var] + _SCAN_HEADERS[args.quantity] + ["status"])]
     for value in grid:
-        row, status = _scan_row(args.quantity, args.var, float(value), params, spec)
+        row, status = _scan_row(args.quantity, args.var, float(value), params)
         if row is None:
             row = [float("nan")] * ncols
         lines.append(",".join([_fmt(float(value))] + [_fmt(v) for v in row] + [status]))
@@ -325,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_th = sub.add_parser("thermo", help="surface-energy decomposition")
     _add_common(p_th)
-    p_th.add_argument("--quad-tol", type=float, default=1e-10)
     p_th.set_defaults(func=cmd_thermo)
 
     p_scan = sub.add_parser("scan", help="sweep a thermodynamic quantity")
@@ -333,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--quantity", required=True, choices=SCAN_QUANTITIES)
     p_scan.add_argument("--var", required=True, choices=SCAN_VARIABLES)
     p_scan.add_argument("--grid", required=True, help="start:stop:num")
-    p_scan.add_argument("--quad-tol", type=float, default=1e-10)
     p_scan.set_defaults(func=cmd_scan)
 
     return parser

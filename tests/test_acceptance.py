@@ -302,7 +302,7 @@ def test_criterion_9_qualitative_curves():
         for p in np.linspace(0.2, 3.0, 12)])
     ok_i = bool(np.all(vals < 0.0) and np.all(np.diff(vals) > 0.0))
 
-    # (ii) free-boundary piece by two independent quadratures
+    # (ii) free-boundary piece by the closed form and by Gauss quadrature
     pr0 = ModelParams(two_n=8, a_bar=0.0, p=1.0, q=1.0, xi=0.0)
     eb0_a = surface_energy(pr0, QuadratureSpec(method="adaptive")).components["e_b0"]
     eb0_g = surface_energy(pr0, QuadratureSpec(method="gauss")).components["e_b0"]
@@ -328,7 +328,7 @@ def test_criterion_9_qualitative_curves():
     ok_iv = ok_iv and all(x > y for x, y in zip(vh, vh[1:]))
 
     ok = ok_i and ok_ii and ok_iii and ok_iv
-    _report("9", ok, f"(i) negative+monotone {ok_i}; (ii) quadratures agree "
+    _report("9", ok, f"(i) negative+monotone {ok_i}; (ii) closed form and Gauss agree "
                      f"to {abs(eb0_a - eb0_g):.1e} {ok_ii}; (iii) peak structure "
                      f"{ok_iii}; (iv) boundary excitation shapes {ok_iv}")
     assert ok_i and ok_ii and ok_iii and ok_iv

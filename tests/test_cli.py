@@ -57,11 +57,15 @@ def test_usage_error_exit_code(capsys):
     ["thermo", "--quad-method", "gauss"],
     ["scan", "--quantity", "eb0", "--var", "a_bar", "--grid", "0:1:3",
      "--quad-method", "gauss"],
+    ["thermo", "--quad-tol", "1e-9"],
+    ["scan", "--quantity", "eb0", "--var", "a_bar", "--grid", "0:1:3",
+     "--quad-tol", "1e-9"],
     ["bae", "--regime", "V"],
     ["bae", "--homotopy-steps", "10"],
     ["bae", "--max-iter", "50"],
 ], ids=["verify-tol-scale", "verify-break-c2-sign", "thermo-quad-method",
-        "scan-quad-method", "bae-regime", "bae-homotopy-steps", "bae-max-iter"])
+        "scan-quad-method", "thermo-quad-tol", "scan-quad-tol", "bae-regime",
+        "bae-homotopy-steps", "bae-max-iter"])
 def test_removed_flags_are_usage_errors(capsys, args):
     with pytest.raises(SystemExit) as exc:
         run(args + ["--two-n", "4"])
@@ -195,8 +199,10 @@ def test_thermo_json(tmp_path):
                 "--q", "1.2496799588882023", "--xi", "1.2", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
+    assert set(doc) == {"params", "value", "components", "est_error"}
     assert set(doc["components"]) == {"e_b_p", "e_b_q", "e_b0"}
-    assert doc["est_error"] <= doc["quadrature"]["abs_tol"]
+    # the closed form's rounding bound
+    assert 0.0 < doc["est_error"] <= 1e-12 * max(1.0, abs(doc["value"]))
 
 
 def test_scan_rectangular_with_divergence_marker(tmp_path):
@@ -219,10 +225,9 @@ def test_scan_rectangular_with_divergence_marker(tmp_path):
     ["--quantity", "boundary_excitation", "--var", "p", "--grid=-0.4:0.4:5"],
 ], ids=["bulk_excitation", "boundary_excitation"])
 def test_scan_excitation_reports_error_estimate(tmp_path, args):
-    tol = 1e-9
-    est = _scan_error_estimates(tmp_path, args, "0.66", tol)
-    assert all(0.0 <= e <= tol for e in est)
-    assert any(e != tol for e in est)  # an estimate, not the tolerance echoed
+    rows = _scan_error_estimates(tmp_path, args, "0.66")
+    assert all(0.0 < e <= 1e-12 * max(1.0, abs(v)) for v, e in rows)
+    assert len({e for _, e in rows}) > 1  # a bound per row, not a constant
 
 
 @pytest.mark.parametrize("args", [
@@ -230,10 +235,9 @@ def test_scan_excitation_reports_error_estimate(tmp_path, args):
     ["--quantity", "boundary_excitation", "--var", "p", "--grid=-0.22:0.22:5"],
 ], ids=["bulk_excitation", "boundary_excitation"])
 def test_scan_excitation_estimate_within_tolerance_at_large_a_bar(tmp_path, args):
-    # the prefactor 0.5(1+4ā²) = 3.38 scales the estimate along with the value
-    tol = 1e-9
-    assert all(0.0 <= e <= tol
-               for e in _scan_error_estimates(tmp_path, args, "1.2", tol))
+    # the prefactor 0.5(1+4ā²) = 3.38 scales the bound along with the value
+    assert all(0.0 < e <= 1e-12 * max(1.0, abs(v))
+               for v, e in _scan_error_estimates(tmp_path, args, "1.2"))
 
 
 def test_scan_boundary_excitation_over_q_takes_q_bar(tmp_path):
@@ -249,16 +253,16 @@ def test_scan_boundary_excitation_over_q_takes_q_bar(tmp_path):
         assert float(row[1]) == boundary_excitation_energy(params.q_bar, params)
 
 
-def _scan_error_estimates(tmp_path, args, a_bar, tol):
+def _scan_error_estimates(tmp_path, args, a_bar):
+    """(value, est_error) of every row of an excitation scan."""
     out = tmp_path / "scan.csv"
     assert run(["scan"] + args + ["--two-n", "8", "--a-bar", a_bar, "--q", "1.0",
-                                  "--xi", "1.2", "--quad-tol", str(tol),
-                                  "--out", str(out)]) == 0
+                                  "--xi", "1.2", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[-2:] == ["est_error", "status"]
     rows = [line.split(",") for line in lines[1:]]
     assert [r[-1] for r in rows] == ["ok"] * len(rows)
-    return [float(r[-2]) for r in rows]
+    return [(float(r[1]), float(r[-2])) for r in rows]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -333,8 +337,9 @@ def test_console_script_entry_point():
 
 
 def test_commands_that_integrate_nothing_skip_scipy_integrate():
-    # thermo imports QUADPACK where it integrates, so importing the package
-    # and running verify (or ed, bae, classify) never loads scipy.integrate
+    # only ground_energy_density integrates adaptively, and no command calls
+    # it: importing the package and running verify, thermo or any scan (or
+    # ed, bae, classify) never loads scipy.integrate
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
@@ -342,10 +347,17 @@ def test_commands_that_integrate_nothing_skip_scipy_integrate():
         "import competing_chain\n"
         "from competing_chain import cli\n"
         "loaded = ['scipy.integrate' in sys.modules]\n"
-        "code = cli.main(['verify', '--two-n', '4', '--a-bar', '0.6', '--out', sys.argv[1]])\n"
-        "loaded.append('scipy.integrate' in sys.modules)\n"
-        "print(code, loaded)\n")
+        "commands = [['verify', '--two-n', '4', '--a-bar', '0.6'], ['thermo']]\n"
+        "commands += [['scan', '--quantity', q, '--var', 'p', '--grid', '0.1:0.3:2']\n"
+        "             for q in cli.SCAN_QUANTITIES]\n"
+        "codes = []\n"
+        "for args in commands:\n"
+        "    codes.append(cli.main(args + ['--out', sys.argv[1]]))\n"
+        "    loaded.append('scipy.integrate' in sys.modules)\n"
+        "print(codes, loaded, sep='\\n')\n")
     done = subprocess.run([sys.executable, "-c", script, os.devnull],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[0] == "0 [False, False]"
+    codes, loaded = done.stdout.splitlines()[:2]
+    assert codes == str([0] * 6)
+    assert loaded == str([False] * 7)

@@ -1,10 +1,10 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from scipy.special import digamma
 
 from competing_chain import (ModelParams, QuadratureSpec, a_kernel, density_regime1,
                              density_regime2, surface_energy,
@@ -26,11 +26,15 @@ _REGIME_PARAMS = {regime: ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
                   for regime, (p, q_bar) in REGIME_POINTS.items()}
 
 # the quantities whose adaptive integrands compute in float arithmetic
-_QUADRATURES = {
+_ADAPTIVE = {
     "ground_density_1": lambda pr, spec: ground_energy_density(
         pr, lambda k: density_regime1(k, pr), spec),
     "ground_density_2": lambda pr, spec: ground_energy_density(
         pr, lambda k: density_regime2(k, pr, beta=0.9), spec),
+}
+# float-valued quantities checked against their Gauss evaluation
+_QUADRATURES = {
+    **_ADAPTIVE,
     "bulk_energy": lambda pr, spec: bulk_energy_per_site(pr, spec),
     "string": lambda pr, spec: string_excitation_energy(3, 0.7, pr, spec),
 }
@@ -161,7 +165,7 @@ def test_adaptive_ground_energy_density_calls_rho_with_floats():
     assert set(seen) == {(float, complex)}
 
 
-@pytest.mark.parametrize("quantity", _QUADRATURES.values(), ids=_QUADRATURES)
+@pytest.mark.parametrize("quantity", _ADAPTIVE.values(), ids=_ADAPTIVE)
 def test_adaptive_integrands_return_floats(monkeypatch, quantity):
     # QUADPACK's float argument stays a float through the integrand
     returned = []
@@ -385,18 +389,24 @@ def test_bulk_excitation_adaptive_matches_gauss(a_bar, z_bar, tol):
     assert abs(adaptive - gauss) <= tol
 
 
-def test_adaptive_bulk_excitation_uses_the_one_quadrature_entry(monkeypatch):
-    # the two cosine-weighted integrals go through half_line_integral
-    calls = []
-    integral = thermo.half_line_integral
+_CLOSED_FORMS = {
+    "surface": lambda pr: surface_energy(pr),
+    "bulk_energy": lambda pr: bulk_energy_per_site(pr),
+    "bulk_excitation": lambda pr: bulk_excitation_energy(1.3, pr),
+    "boundary_excitation": lambda pr: boundary_excitation_energy(0.2, pr),
+    "string": lambda pr: string_excitation_energy(3, 0.7, pr),
+}
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("omega"))
-        return integral(*args, **kwargs)
-    monkeypatch.setattr(thermo, "half_line_integral", counted)
-    pr = _pr(a_bar=0.8)
-    bulk_excitation_energy(1.3, pr, QuadratureSpec())
-    assert calls == [pytest.approx(2.1), pytest.approx(-0.5)]
+
+@pytest.mark.parametrize("quantity", _CLOSED_FORMS.values(), ids=_CLOSED_FORMS)
+def test_closed_forms_integrate_nothing(monkeypatch, quantity):
+    # the default method of the five quantities evaluates digamma, no integral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default method integrated")
+    monkeypatch.setattr(thermo, "half_line_integral", refuse)
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
+    quantity(_REGIME_PARAMS["V"])
 
 
 def test_bulk_excitation_peaks():
@@ -468,43 +478,44 @@ def test_excitations_real_valued():
 # closed forms and quadrature limits
 # ---------------------------------------------------------------------------
 
-def _tanh_laplace(s):
-    """∫_0^∞ tanh(k/2) e^{-sk} dk = ψ((s+1)/2) - ψ(s/2) - 1/s for Re s > 0."""
-    return digamma(0.5 * (s + 1.0)) - digamma(0.5 * s) - 1.0 / s
+def _mp_laplace(decay, omega):
+    """∫_0^∞ tanh(k/2) e^{-decay k} cos(ωk) dk = Re[ψ((s+1)/2) - ψ(s/2) - 1/s]
+    at s = decay + iω, in mpmath at the working precision."""
+    s = mpmath.mpc(decay, omega)
+    return mpmath.re(mpmath.digamma((s + 1) / 2) - mpmath.digamma(s / 2) - 1 / s)
 
 
-def _cos_laplace(decay, omega):
-    """∫_0^∞ tanh(k/2) e^{-decay k} cos(ωk) dk, the real part at s = decay + iω."""
-    return float(_tanh_laplace(complex(decay, omega)).real)
+def _reference(pr, z_bar, b, n):
+    """Every closed-form quantity at pr to 40 digits, rounded to floats."""
+    with mpmath.workdps(40):
+        lap = _mp_laplace
+        ab, z, bb = (mpmath.mpf(x) for x in (pr.a_bar, z_bar, abs(b)))
+        pref = 1 + 4 * ab ** 2
+        ref = {"e_b_p": -pref * lap(abs(pr.p), ab),
+               "e_b_q": -pref * lap(abs(pr.q_bar), ab),
+               "e_b0": pref * (lap(0.5, ab) - lap(1, ab)) - 3 * ab ** 2 / (1 + ab ** 2)}
+        ref["surface"] = ref["e_b_p"] + ref["e_b_q"] + ref["e_b0"]
+        ref["bulk_energy"] = -(2 * ab ** 2 + 1) - pref * (lap(1, 0) + lap(1, 2 * ab))
+        ref["bulk_excitation"] = pref / 2 * (
+            2 * (lap(0.5, ab + z) + lap(0.5, ab - z))
+            + 1 / ((z + ab) ** 2 + 0.25) + 1 / ((z - ab) ** 2 + 0.25))
+        ref["boundary_excitation"] = pref / 2 * (
+            2 * (lap(1 - bb, ab) - lap(1 + bb, ab))
+            + 4 * bb / (bb ** 2 + ab ** 2)
+            + 2 * (1 - bb) / (ab ** 2 + (1 - bb) ** 2)
+            - 2 * (1 + bb) / (ab ** 2 + (1 + bb) ** 2))
+        hi, lo = mpmath.mpf(n + 1) / 2, mpmath.mpf(n - 1) / 2
+        ref["string"] = pref / 2 * sum(
+            2 * (lap(hi, x) + lap(lo, x)) + 2 * hi / (x ** 2 + hi ** 2) - 2 * lo / (x ** 2 + lo ** 2)
+            for x in (z - ab, z + ab))
+        return {name: float(value) for name, value in ref.items()}
 
 
-def _closed_forms(pr, z_bar, b):
-    ab = pr.a_bar
-    pref = 1.0 + 4.0 * ab ** 2
-    surface = {
-        "e_b_p": -pref * _cos_laplace(abs(pr.p), ab),
-        "e_b_q": -pref * _cos_laplace(abs(pr.q_bar), ab),
-        "e_b0": (pref * (_cos_laplace(0.5, ab) - _cos_laplace(1.0, ab))
-                 - 3.0 * ab ** 2 / (1.0 + ab ** 2)),
-    }
-    bulk = -(2.0 * ab ** 2 + 1.0) - pref * (_cos_laplace(1.0, 0.0) + _cos_laplace(1.0, 2.0 * ab))
-    bulk_exc = 0.5 * pref * (2.0 * (_cos_laplace(0.5, ab + z_bar) + _cos_laplace(0.5, ab - z_bar))
-                             + 1.0 / ((z_bar + ab) ** 2 + 0.25)
-                             + 1.0 / ((z_bar - ab) ** 2 + 0.25))
-    bb = abs(b)
-    boundary_exc = 0.5 * pref * (
-        2.0 * (_cos_laplace(1.0 - bb, ab) - _cos_laplace(1.0 + bb, ab))
-        + 4.0 * bb / (bb ** 2 + ab ** 2)
-        + 2.0 * (1.0 - bb) / (ab ** 2 + (1.0 - bb) ** 2)
-        - 2.0 * (1.0 + bb) / (ab ** 2 + (1.0 + bb) ** 2))
-    return surface, bulk, bulk_exc, boundary_exc
-
-
-def _closed_form_points():
-    # the regime points, then seeded draws from the benchmark's sweep box
-    points = [(_REGIME_PARAMS[r], 1.3, 0.2) for r in REGIME_POINTS]
-    rng = np.random.default_rng(20240811)
-    for i in range(6):
+def _box_draws(seed, count):
+    """(params, z̄, b) drawn from the benchmark's thermo_sweep box."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(count):
         a_bar, p, q_bar, xi = (rng.uniform(0.0, 1.2), rng.uniform(0.05, 3.0),
                                rng.uniform(0.05, 3.0) * (-1) ** i, rng.uniform(0.0, 2.0))
         points.append((ModelParams.from_q_bar(8, a_bar, p, q_bar, xi),
@@ -512,17 +523,60 @@ def _closed_form_points():
     return points
 
 
+def _closed_form_points():
+    # the regime points, then seeded draws from the benchmark's sweep box
+    return [(_REGIME_PARAMS[r], 1.3, 0.2) for r in REGIME_POINTS] + _box_draws(20240811, 6)
+
+
 @pytest.mark.parametrize("method", ["adaptive", "gauss"])
 @pytest.mark.parametrize("pr,z_bar,b", _closed_form_points())
 def test_quadratures_match_the_digamma_closed_form(pr, z_bar, b, method):
     spec = QuadratureSpec(abs_tol=1e-10, method=method)
-    surface, bulk, bulk_exc, boundary_exc = _closed_forms(pr, z_bar, b)
+    ref = _reference(pr, z_bar, b, 3)
     se = surface_energy(pr, spec)
-    for name, expected in surface.items():
-        assert abs(se.components[name] - expected) <= spec.abs_tol, name
-    assert abs(bulk_energy_per_site(pr, spec) - bulk) <= spec.abs_tol
-    assert abs(bulk_excitation_energy(z_bar, pr, spec) - bulk_exc) <= spec.abs_tol
-    assert abs(boundary_excitation_energy(b, pr, spec) - boundary_exc) <= spec.abs_tol
+    for name in ("e_b_p", "e_b_q", "e_b0"):
+        assert abs(se.components[name] - ref[name]) <= spec.abs_tol, name
+    assert abs(bulk_energy_per_site(pr, spec) - ref["bulk_energy"]) <= spec.abs_tol
+    assert abs(bulk_excitation_energy(z_bar, pr, spec) - ref["bulk_excitation"]) <= spec.abs_tol
+    assert abs(boundary_excitation_energy(b, pr, spec) - ref["boundary_excitation"]) \
+        <= spec.abs_tol
+
+
+_MPMATH_POINTS = (
+    [pytest.param(_REGIME_PARAMS[r], 1.3, 0.2, id=f"regime-{r}") for r in REGIME_POINTS]
+    + [pytest.param(*point, id=f"box-{i}") for i, point in
+       enumerate(_box_draws(20240811, 6) + _box_draws(31, 10))]
+    # where adaptive QUADPACK missed the bulk excitation by ~1e-7
+    + [pytest.param(_pr(a_bar=a_bar), z_bar, 0.2, id=f"bulk-excitation-{a_bar:.3f}")
+       for a_bar, z_bar in ((1.048089392377342, -1.994835805810022),
+                            (0.9789134722187997, -2.161076632725525))]
+    # fields next to the divergence at p = 0 or q = 0, where adaptive
+    # QUADPACK could not certify the surface energy
+    + [pytest.param(ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2), 1.3, 0.2,
+                    id=f"p={p:g},q_bar={q_bar:g}")
+       for p, q_bar in ((1e-2, 0.7), (-1e-3, 0.7), (1.2, 1e-2), (1.2, -1e-3))])
+
+
+@pytest.mark.parametrize("pr,z_bar,b", _MPMATH_POINTS)
+def test_closed_forms_match_40_digit_mpmath(pr, z_bar, b):
+    se = surface_energy(pr)
+    bulk_exc, bulk_bound = thermo._bulk_excitation(z_bar, pr)
+    boundary_exc, boundary_bound = thermo._boundary_excitation(b, pr)
+    bounds = {"surface": se.est_error, "bulk_excitation": bulk_bound,
+              "boundary_excitation": boundary_bound}
+    for n in (3, 4, 5):
+        ref = _reference(pr, z_bar, b, n)
+        values = {**se.components, "surface": se.value,
+                  "bulk_energy": bulk_energy_per_site(pr),
+                  "bulk_excitation": bulk_exc, "boundary_excitation": boundary_exc,
+                  "string": string_excitation_energy(n, z_bar, pr)}
+        for name, value in values.items():
+            assert type(value) is float, name
+            scale = max(1.0, abs(ref[name]))
+            assert abs(value - ref[name]) <= 1e-13 * scale, name
+            if name in bounds:
+                # est_error bounds the rounding, and is of rounding size
+                assert abs(value - ref[name]) <= bounds[name] <= 1e-12 * scale, name
 
 
 @pytest.mark.parametrize("method", ["adaptive", "gauss"])
