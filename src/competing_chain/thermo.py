@@ -28,9 +28,11 @@ their error estimate.  ground_energy_density integrates a caller's density
 and stays a quadrature: every integral it takes is evaluated as 2∫_0^∞ of
 the even integrand's one-sided smooth extension, with the cutoff chosen
 from the slowest analytic decay rate so that the certified tail bound
-stays below a tenth of the absolute tolerance.  QuadratureSpec(method=
-"gauss") evaluates every quantity by composite Gauss–Legendre quadrature
-instead, an independent check of the closed forms.
+stays below a tenth of the absolute tolerance.  Its default rule is an
+adaptive 21-point Gauss–Kronrod bisection that hands the integrand every
+node of a round in one array.  QuadratureSpec(method="gauss") evaluates
+every quantity by composite Gauss–Legendre quadrature instead, an
+independent check of the closed forms and of the Gauss–Kronrod rule.
 """
 
 from __future__ import annotations
@@ -54,8 +56,8 @@ def a_kernel(u, n):
 class QuadratureSpec:
     abs_tol: float = 1e-10
     k_max: float | None = None
-    # "adaptive": closed forms, and QUADPACK for ground_energy_density;
-    # "gauss": composite Gauss–Legendre for every quantity
+    # "adaptive": closed forms, and adaptive Gauss–Kronrod for
+    # ground_energy_density; "gauss": composite Gauss–Legendre for every quantity
     method: str = "adaptive"
 
     def __post_init__(self):
@@ -85,10 +87,75 @@ class ThermoResult:
 STRING_FLAG_TOL = 1e-6    # largest |string excitation energy| taken as zero
 ROUND_ULPS = 32           # closed-form rounding bound, in units of eps · Σ|terms|
 EPS = float(np.finfo(float).eps)
-QUAD_LIMIT = 200          # most QUADPACK subintervals per integral
+QUAD_PANELS = 2000        # most Gauss–Kronrod panels evaluated per adaptive integral
+KRONROD_WIDTH = 4.0       # width of the first Gauss–Kronrod panels
+KRONROD_ULPS = 50         # a panel's rounding error, in units of eps · ∫|f| (as qk21)
 GAUSS_ORDER = 40          # Gauss–Legendre nodes per panel
 GAUSS_BLOCK = 65536       # most nodes handed to the integrand in one call
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+
+# The 21-point Gauss–Kronrod rule on [-1, 1] and its embedded 10-point Gauss
+# rule (QUADPACK's qk21), written out here because loading scipy.integrate
+# costs ~0.45 s.  The Kronrod nodes are ±_GK_X with weights _GK_W; the Gauss
+# nodes are ±_GK_X[1::2] with weights _G_W.
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980539086, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_G_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+_KX = np.concatenate([-_GK_X, _GK_X[-2::-1]])
+_KW = np.concatenate([_GK_W, _GK_W[-2::-1]])
+_KG = _KW.copy()                      # Kronrod minus Gauss weights
+_KG[1:10:2] -= _G_W
+_KG[11::2] -= _G_W[::-1]
+
+
+def _kronrod(f, k_max: float, tol: float):
+    """(∫_0^k_max f, error estimate) by adaptive Gauss–Kronrod bisection.
+
+    [0, k_max] starts as panels of width at most KRONROD_WIDTH.  Each round
+    evaluates every node of every open panel in one call of f, accepts the
+    panels whose |K21 - G10| is at most their share tol · width / k_max, and
+    bisects the rest; a non-finite panel is accepted too and left to the
+    caller's check.  Evaluating more than QUAD_PANELS panels in all raises
+    QuadratureError.  The estimate sums |K21 - G10| and the rounding bound
+    KRONROD_ULPS · eps · K21(|f|) of the accepted panels.
+    """
+    panels = max(1, math.ceil(k_max / KRONROD_WIDTH))
+    edges = np.linspace(0.0, k_max, panels + 1)
+    lo, hi = edges[:-1], edges[1:]
+    value = err = 0.0
+    spent = 0
+    while lo.size:
+        spent += lo.size
+        if spent > QUAD_PANELS:
+            raise QuadratureError(
+                f"adaptive Gauss–Kronrod rule needs more than {QUAD_PANELS} "
+                f"panels on [0, {k_max:g}]")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rows = np.reshape(f((mid[:, None] + half[:, None] * _KX).ravel()), (lo.size, _KX.size))
+        kronrod = half * (rows @ _KW)
+        diff = np.abs(half * (rows @ _KG))
+        done = ~(diff > tol * (hi - lo) / k_max)
+        value += float(kronrod[done].sum())
+        rounding = KRONROD_ULPS * EPS * half[done] @ (np.abs(rows[done]) @ _KW)
+        err += float(diff[done].sum() + rounding)
+        lo, hi, mid = lo[~done], hi[~done], mid[~done]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return value, err
 
 
 def _gauss_panels(f, a, b, panels):
@@ -120,7 +187,10 @@ def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
     decay is a lower bound on the analytic decay rate (|f| <= A e^{-decay k}
     eventually, A = max(|amplitude|, 1)); the cutoff is chosen so the tail
     bound stays below abs_tol/10 and is added to the reported error
-    estimate.
+    estimate.  f takes a 1-D float array of nodes and returns the integrand
+    there; the adaptive rule (_kronrod) is asked for a quarter of abs_tol,
+    and the Gauss rule takes the tail bound as its own error.  A non-finite
+    result or an estimate above abs_tol raises QuadratureError.
     """
     if decay <= 0:
         raise QuadratureError("need a positive analytic decay rate for the tail bound")
@@ -135,18 +205,7 @@ def half_line_integral(f, decay: float, spec: QuadratureSpec = DEFAULT_SPEC,
         value = _gauss_panels(f, 0.0, k_max, panels)
         err = tail  # GL panels of unit width resolve these analytic integrands
     else:
-        # imported here: loading scipy.integrate costs ~0.5 s, which every
-        # command skips (only ground_energy_density integrates adaptively)
-        from scipy.integrate import quad
-
-        # A float integrand evaluated in math overflows or divides by zero
-        # with a Python exception instead of numpy's inf/nan; either is
-        # reported as the QuadratureError raised below for a non-finite result.
-        try:
-            value, err = quad(f, 0.0, k_max, epsabs=0.25 * spec.abs_tol, epsrel=1e-13,
-                              limit=QUAD_LIMIT)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise QuadratureError(f"non-finite integrand on [0, {k_max:g}]: {exc}") from exc
+        value, err = _kronrod(f, k_max, 0.25 * spec.abs_tol)
     est = 2.0 * abs(err) + 2.0 * tail
     if not (math.isfinite(value) and math.isfinite(est)):
         raise QuadratureError(f"non-finite quadrature result {value!r} (estimate {est!r})")
@@ -184,40 +243,28 @@ def _rounding(*addends) -> float:
 # root densities (Fourier space)
 # ---------------------------------------------------------------------------
 
-def _xp(k):
-    """math for a Python float k, numpy otherwise.
-
-    QUADPACK calls the ground_energy_density integrand, and through it the
-    densities, with one float at a time, where a math call costs a fraction
-    of a numpy ufunc call on a 0-d array.
-    """
-    return math if isinstance(k, float) else np
-
-
 def _density(k, params: ModelParams, extra=None):
     """Shared form of the regime densities, (num - extra) / (2N (e1 + e3)).
 
     With e_n = exp(-n|k|/2), num holds the bulk and boundary back-flow terms
-    common to every pattern and extra(xp, k, |k|), if given, the pattern's
+    common to every pattern and extra(k, |k|), if given, the pattern's
     own kernel images.  Both are written divided by e1, so the quotient is
     formed over 2N (1 + e2) and stays finite where e1 underflows to 0
-    (|k| > 1490).  A float k gives a Python complex, an array k a complex
-    ndarray.
+    (|k| > 1490).  The result is complex, of k's shape: a numpy complex
+    scalar for a float k.
     """
-    xp = _xp(k)
-    if xp is np:
-        k = np.asarray(k, dtype=float)
-    ak = abs(k)
+    k = np.asarray(k, dtype=float)
+    ak = np.abs(k)
     n = params.n
-    e1 = xp.exp(-0.5 * ak)
-    num = (4.0 * n * e1 * xp.cos(params.a_bar * k)
+    e1 = np.exp(-0.5 * ak)
+    num = (4.0 * n * e1 * np.cos(params.a_bar * k)
            + e1 - 1.0
-           - xp.exp(-(abs(params.p) + 0.5) * ak)
-           - xp.exp(-(abs(params.q_bar) + 0.5) * ak))
+           - np.exp(-(abs(params.p) + 0.5) * ak)
+           - np.exp(-(abs(params.q_bar) + 0.5) * ak))
     if extra is not None:
-        num = num - extra(xp, k, ak)
+        num = num - extra(k, ak)
     out = num / (2.0 * n * (1.0 + e1 * e1))
-    return complex(out) if xp is math else out.astype(complex)
+    return out.astype(complex)
 
 
 def density_regime1(k, params: ModelParams, alpha: float = math.inf):
@@ -230,15 +277,15 @@ def density_regime1(k, params: ModelParams, alpha: float = math.inf):
     caller's convenience.
     """
     if math.isfinite(alpha):
-        return _density(k, params, lambda xp, k, ak: 2.0 * xp.cos(alpha * k))
+        return _density(k, params, lambda k, ak: 2.0 * np.cos(alpha * k))
     return _density(k, params)
 
 
 def density_regime2(k, params: ModelParams, beta: float):
     """Fourier density for patterns carrying a pure imaginary pair ±iβ."""
-    return _density(k, params, lambda xp, k, ak: (
-        xp.exp(-(abs(beta + 0.5) - 0.5) * ak)
-        + xp.exp(-(abs(beta - 0.5) - 0.5) * ak)))
+    return _density(k, params, lambda k, ak: (
+        np.exp(-(abs(beta + 0.5) - 0.5) * ak)
+        + np.exp(-(abs(beta - 0.5) - 0.5) * ak)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +368,12 @@ def ground_energy_density(params: ModelParams, rho, spec: QuadratureSpec = DEFAU
     pref = 1.0 + 4.0 * ab ** 2
 
     def f(k):
-        xp = _xp(k)
-        if xp is math:
-            vals = complex(rho(k))
-            imag = abs(vals.imag)
-        else:
-            vals = np.asarray(rho(k))
-            imag = abs(vals.imag).max()
+        vals = np.asarray(rho(k))
+        imag = abs(vals.imag).max()
         if imag > 1e-10:
             warnings.warn(f"density has imaginary part {imag:.3e}")
-        e = xp.exp(-0.5 * k)
-        return e * (1.0 - e * e) * xp.cos(ab * k) * vals.real
+        e = np.exp(-0.5 * k)
+        return e * (1.0 - e * e) * np.cos(ab * k) * vals.real
     value, _ = half_line_integral(f, decay=0.5, spec=spec, amplitude=4.0)
     rational = (abs(params.p) / (ab ** 2 + params.p ** 2)
                 + abs(params.q_bar) / (ab ** 2 + params.q_bar ** 2))

@@ -336,15 +336,17 @@ def test_console_script_entry_point():
     assert "verify" in done.stdout
 
 
-def test_commands_that_integrate_nothing_skip_scipy_integrate():
-    # only ground_energy_density integrates adaptively, and no command calls
-    # it: importing the package and running verify, thermo or any scan (or
-    # ed, bae, classify) never loads scipy.integrate
+def test_the_package_never_loads_scipy_integrate():
+    # the closed forms and the hard-coded Gauss–Kronrod rule need no
+    # scipy.integrate: importing the package, running verify, thermo and
+    # every scan, then one adaptive ground_energy_density and one
+    # half_line_integral call never load it
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
-        "import competing_chain\n"
+        "import numpy as np\n"
+        "import competing_chain as cc\n"
         "from competing_chain import cli\n"
         "loaded = ['scipy.integrate' in sys.modules]\n"
         "commands = [['verify', '--two-n', '4', '--a-bar', '0.6'], ['thermo']]\n"
@@ -354,10 +356,15 @@ def test_commands_that_integrate_nothing_skip_scipy_integrate():
         "for args in commands:\n"
         "    codes.append(cli.main(args + ['--out', sys.argv[1]]))\n"
         "    loaded.append('scipy.integrate' in sys.modules)\n"
+        "pr = cc.ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2)\n"
+        "cc.ground_energy_density(pr, lambda k: cc.density_regime1(k, pr))\n"
+        "loaded.append('scipy.integrate' in sys.modules)\n"
+        "cc.half_line_integral(lambda k: np.exp(-k) * np.cos(k), decay=1.0)\n"
+        "loaded.append('scipy.integrate' in sys.modules)\n"
         "print(codes, loaded, sep='\\n')\n")
     done = subprocess.run([sys.executable, "-c", script, os.devnull],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     codes, loaded = done.stdout.splitlines()[:2]
     assert codes == str([0] * 6)
-    assert loaded == str([False] * 7)
+    assert loaded == str([False] * 9)

@@ -1,10 +1,10 @@
 import math
+import time
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 
 from competing_chain import (ModelParams, QuadratureSpec, a_kernel, density_regime1,
                              density_regime2, surface_energy,
@@ -13,6 +13,7 @@ from competing_chain import (ModelParams, QuadratureSpec, a_kernel, density_regi
                              boundary_excitation_energy, half_line_integral,
                              ground_state_scan, thermo)
 from competing_chain.errors import DivergenceError, DomainError, QuadratureError
+from competing_chain.params import c0_constant
 from conftest import REGIME_POINTS
 
 
@@ -25,16 +26,12 @@ def _pr(a_bar=0.0, p=1.0, q_bar=None, q=1.0, xi=0.0, two_n=8):
 _REGIME_PARAMS = {regime: ModelParams.from_q_bar(8, 0.66, p, q_bar, 1.2)
                   for regime, (p, q_bar) in REGIME_POINTS.items()}
 
-# the quantities whose adaptive integrands compute in float arithmetic
-_ADAPTIVE = {
+# float-valued quantities checked against their Gauss evaluation
+_QUADRATURES = {
     "ground_density_1": lambda pr, spec: ground_energy_density(
         pr, lambda k: density_regime1(k, pr), spec),
     "ground_density_2": lambda pr, spec: ground_energy_density(
         pr, lambda k: density_regime2(k, pr, beta=0.9), spec),
-}
-# float-valued quantities checked against their Gauss evaluation
-_QUADRATURES = {
-    **_ADAPTIVE,
     "bulk_energy": lambda pr, spec: bulk_energy_per_site(pr, spec),
     "string": lambda pr, spec: string_excitation_energy(3, 0.7, pr, spec),
 }
@@ -140,46 +137,31 @@ _DENSITIES = {
 @pytest.mark.parametrize("density", _DENSITIES.values(), ids=_DENSITIES)
 @pytest.mark.parametrize("regime", REGIME_POINTS)
 def test_density_float_path_matches_array_path(regime, density):
-    # a float k is evaluated in math (QUADPACK's scalar calls), an array in
-    # numpy (Gauss grids); the two differ by at most libm-vs-SIMD rounding
+    # one numpy path: a float k gives a complex scalar, bitwise the element
+    # the same k gets inside an array
     pr = _REGIME_PARAMS[regime]
     k = np.linspace(0.0, 60.0, 200)
     grid = density(k, pr)
     assert isinstance(grid, np.ndarray) and grid.dtype == complex
     for point, ref in zip(k.tolist(), grid):
         value = density(point, pr)
-        assert type(value) is complex
-        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
+        assert np.shape(value) == () and np.asarray(value).dtype == complex
+        assert value == ref
 
 
-def test_adaptive_ground_energy_density_calls_rho_with_floats():
+def test_adaptive_ground_energy_density_calls_rho_with_arrays():
+    # the Gauss–Kronrod rule hands rho every node of a round in one array
     pr = _REGIME_PARAMS["V"]
     seen = []
 
     def rho(k):
-        value = density_regime2(k, pr, beta=0.9)
-        seen.append((type(k), type(value)))
-        return value
+        seen.append(k)
+        return density_regime2(k, pr, beta=0.9)
     ground_energy_density(pr, rho, QuadratureSpec())
-    assert len(seen) > 100
-    assert set(seen) == {(float, complex)}
-
-
-@pytest.mark.parametrize("quantity", _ADAPTIVE.values(), ids=_ADAPTIVE)
-def test_adaptive_integrands_return_floats(monkeypatch, quantity):
-    # QUADPACK's float argument stays a float through the integrand
-    returned = []
-    quad = scipy.integrate.quad
-
-    def spy(f, *args, **kwargs):
-        def recorded(k):
-            value = f(k)
-            returned.append((type(k), type(value)))
-            return value
-        return quad(recorded, *args, **kwargs)
-    monkeypatch.setattr(scipy.integrate, "quad", spy)
-    quantity(_REGIME_PARAMS["V"], QuadratureSpec())
-    assert returned and set(returned) == {(float, float)}
+    assert 1 <= len(seen) <= 4
+    for k in seen:
+        assert isinstance(k, np.ndarray) and k.ndim == 1 and k.dtype == float
+        assert k.size >= 21 and k.size % 21 == 0
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +387,6 @@ def test_closed_forms_integrate_nothing(monkeypatch, quantity):
     def refuse(*args, **kwargs):
         raise AssertionError("the default method integrated")
     monkeypatch.setattr(thermo, "half_line_integral", refuse)
-    monkeypatch.setattr(scipy.integrate, "quad", refuse)
     quantity(_REGIME_PARAMS["V"])
 
 
@@ -577,6 +558,80 @@ def test_closed_forms_match_40_digit_mpmath(pr, z_bar, b):
             if name in bounds:
                 # est_error bounds the rounding, and is of rounding size
                 assert abs(value - ref[name]) <= bounds[name] <= 1e-12 * scale, name
+
+
+def _mp_ground_energy_density(pr):
+    """ground_energy_density(pr, density_regime1(k, pr)) to 40 digits.
+
+    With e = e^{-k/2}, e(1 - e²)/(1 + e²) = tanh(k/2), so the integrand
+    e(1 - e²) cos(āk) ρ̃(k) is tanh(k/2) e cos(āk) num(k) / 2N: a sum of
+    tanh(k/2) e^{-dk} cos(ωk) terms.  c0 is the same float on both sides.
+    """
+    with mpmath.workdps(40):
+        lap = _mp_laplace
+        ab, p, q = (mpmath.mpf(x) for x in (pr.a_bar, abs(pr.p), abs(pr.q_bar)))
+        n = pr.n
+        # 4N e² cos²(āk) / 2N = e^{-k} (1 + cos 2āk); the other terms carry 1/2N
+        integral = lap(1, 0) + lap(1, 2 * ab) + (
+            lap(1, ab) - lap(0.5, ab) - lap(p + 1, ab) - lap(q + 1, ab)) / (2 * n)
+        pref = 1 + 4 * ab ** 2
+        rational = p / (ab ** 2 + p ** 2) + q / (ab ** 2 + q ** 2)
+        return float(-n * pref * 2 * integral - pref * rational) - c0_constant(pr)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "gauss"])
+@pytest.mark.parametrize("regime", REGIME_POINTS)
+def test_ground_energy_density_matches_40_digit_mpmath(regime, method):
+    pr = _REGIME_PARAMS[regime]
+    spec = QuadratureSpec(method=method)
+    value = ground_energy_density(pr, lambda k: density_regime1(k, pr), spec)
+    assert abs(value - _mp_ground_energy_density(pr)) <= spec.abs_tol
+
+
+def test_kronrod_rule_is_qk21():
+    # K21 integrates x^j exactly up to j = 31, its Gauss part is the
+    # 10-point Gauss–Legendre rule, and the nodes run up from -1 to 1
+    x = thermo._KX
+    assert np.all(np.diff(x) > 0) and x[10] == 0.0 and x[0] == -x[-1]
+    exact = [2.0 / (j + 1) if j % 2 == 0 else 0.0 for j in range(32)]
+    assert np.allclose([thermo._KW @ x ** j for j in range(32)], exact, rtol=0, atol=1e-15)
+    gauss = thermo._KW - thermo._KG
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.count_nonzero(gauss) == 10
+    assert np.allclose(x[gauss != 0], nodes, rtol=0, atol=1e-15)
+    assert np.allclose(gauss[gauss != 0], weights, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("omega", [0.0, 0.7, 2.4, 5.2])
+@pytest.mark.parametrize("decay", [0.05, 0.3, 0.5, 1.0, 2.0])
+def test_adaptive_estimate_bounds_the_true_error(decay, omega, tol):
+    # 2 ∫_0^∞ tanh(k/2) e^{-dk} cos(ωk) dk = 2 Re I(d + iω).  At ω = 0 the
+    # error is nearly all the truncated tail, so |error| / estimate nears 1;
+    # at d = 0.05, ω = 5.2 QUADPACK ran out of its 200 subintervals
+    def f(k):
+        return np.tanh(0.5 * k) * np.exp(-decay * k) * np.cos(omega * k)
+    value, est = half_line_integral(f, decay=decay, spec=QuadratureSpec(abs_tol=tol))
+    with mpmath.workdps(40):
+        exact = float(2 * _mp_laplace(decay, omega))
+    assert est <= tol
+    assert abs(value - exact) <= est
+    assert abs(value - 2.0 * float(thermo._laplace(decay, omega)[0])) <= est
+
+
+def test_unresolvable_adaptive_integral_raises_within_its_panel_budget():
+    # the cutoff for d = 0.01 is k ≈ 3224: 806 first panels, and cos(5.2k)
+    # fails its share on each, so their 1612 halves would pass QUAD_PANELS
+    nodes = []
+
+    def f(k):
+        nodes.append(k.size)
+        return np.tanh(0.5 * k) * np.exp(-0.01 * k) * np.cos(5.2 * k)
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="panels"):
+        half_line_integral(f, decay=0.01, spec=QuadratureSpec(abs_tol=1e-10))
+    assert time.perf_counter() - start < 1.0
+    assert sum(nodes) <= thermo.QUAD_PANELS * thermo._KX.size
 
 
 @pytest.mark.parametrize("method", ["adaptive", "gauss"])
