@@ -17,7 +17,7 @@ from .transfer import (monodromy, transfer_matrix, transfer_and_derivative,
                        hamiltonian_from_transfer, crossing_residual,
                        transfer_identity_residual, transfer_commutator_residual,
                        apply_transfer, a_bare, d_bare)
-from .spectrum import (EigenPair, ZeroRootSet, diagonalize, lambda_samples,
+from .spectrum import (EigenPair, ZeroRootSet, diagonalize, ground_state, lambda_samples,
                        circle_sample_points, fit_lambda_polynomial,
                        state_zero_roots, transfer_state_roots, lambda_from_roots,
                        inversion_identity_check, roots_to_json, roots_from_json,

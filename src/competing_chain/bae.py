@@ -57,7 +57,7 @@ import numpy as np
 from .errors import (ConsistencyError, DegeneracyError, DomainError,
                      ParameterError, SolverError)
 from .params import ModelParams, c0_constant
-from .spectrum import (ZeroRootSet, canonical_root, diagonalize, state_zero_roots,
+from .spectrum import (ZeroRootSet, canonical_root, ground_state, state_zero_roots,
                        _sorted_roots)
 from .thermo import a_kernel
 from .transfer import a_table
@@ -78,7 +78,7 @@ ENERGY_IMAG_TOL = 1e-8        # largest imaginary part of a consistent root ener
 HALF_MARGIN = 0.02            # least distance of a pure-imaginary seed from z̄ = i/2
 THETA_GROUP_TOL = 1e-12       # θ̄ values closer than this form one confluent group
 SPREAD_SCALE_FLOOR = 0.1      # smallest seed-matched homotopy start scale
-ED_SEED_TWO_N = 8             # largest scan start size: dense ED stays below BLOCKED_EIGH_MIN_DIM
+ED_SEED_TWO_N = 8             # largest scan start size: its ED ground state costs a few ms
 
 _log = logging.getLogger(__name__)
 
@@ -644,11 +644,12 @@ def _extend_pattern(pattern: _Pattern, new_m: int) -> _Pattern:
 def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
     """Ground-state roots across chain sizes by size continuation.
 
-    The walk starts at min(smallest size, ED_SEED_TWO_N), where the dense
-    ED ground state is cheap: its zero roots (spectrum.state_zero_roots)
-    seed one direct solve.  Each larger size is seeded from the previous
-    solution with new outer string centers appended and takes one direct
-    homogeneous solve.  No size runs the homotopy.  A failed
+    The walk starts at min(smallest size, ED_SEED_TWO_N), where the ED
+    ground state (spectrum.ground_state) is cheap: its zero roots
+    (spectrum.state_zero_roots) seed one direct solve.  Each larger size is
+    seeded from the previous solution with new outer string centers
+    appended and takes one direct homogeneous solve.  No size runs the
+    homotopy.  A failed
     solve, a solution that is not a ground-state inventory, or one that
     lands on an excited branch raises SolverError naming 2N at once (and
     the ED seed at the first size), chained from the solve's error and
@@ -670,7 +671,7 @@ def ground_state_scan(base_params: ModelParams, sizes, tol: float = 1e-10):
                          q=base_params.q, xi=base_params.xi)
         if prev is None:
             where = f"2N={two_n} (ED ground-state seed)"
-            seed = state_zero_roots(diagonalize(pr)[0], pr)
+            seed = state_zero_roots(ground_state(pr), pr)
         else:
             where = f"2N={two_n}"
             prev_pattern, prev_two_n, prev_energy = prev

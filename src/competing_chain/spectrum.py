@@ -1,5 +1,11 @@
 """Exact diagonalization and per-eigenstate transfer-eigenvalue reconstruction.
 
+diagonalize returns the full dense spectrum, degenerate levels resolved
+into transfer eigenstates.  ground_state returns the lowest pair alone: a
+numpy Lanczos run with full reorthogonalization, certified as the isolated
+ground state by one Cholesky factorization of H + xxᴴ − (e + gap)I, and
+diagonalize's lowest pair where that certificate fails.
+
 For every eigenstate the transfer eigenvalue Λ(u) is invariant under
 u -> -u-1 and parameterized by 2N+1 sign-paired zero roots z_l via
 
@@ -59,6 +65,10 @@ CIRCLE_RADIUS = 4.0
 FIT_STEPS = 8             # Weierstrass steps on the fitted polynomial
 STEP_TOL = 1e-14          # exact Weierstrass steps stop at this largest relative step
 MAX_EXACT_STEPS = 50      # exact steps before ExtractionError
+LANCZOS_TOL = 1e-13       # ground-state residual ‖Hx − ex‖, relative to H's largest row sum
+LANCZOS_MAX_STEPS = 150   # Krylov dimension before ground_state falls back to diagonalize
+LANCZOS_CHECK = 5         # Lanczos steps between Ritz residual checks
+LANCZOS_SEED = 2026       # numpy seed of the complex start vector
 
 
 @dataclass
@@ -136,6 +146,91 @@ def diagonalize(params: ModelParams) -> list:
     return pairs
 
 
+def ground_state(params: ModelParams) -> EigenPair:
+    """Lowest eigenpair of the chain Hamiltonian, without the full spectrum.
+
+    Lanczos (_lanczos_ground_state) finds the pair on the dense H, and
+    _is_isolated_ground_state certifies that it is the ground state and
+    that the level is non-degenerate under diagonalize's DEGENERACY_GAP
+    rule, whose scale the largest absolute row sum of H bounds from above.
+    Where either fails (a (near-)degenerate ground level, or no
+    convergence) this is diagonalize(params)[0], degenerate-block
+    resolution included.
+    """
+    h = hamiltonian_direct(params)
+    _check_hermitian(h, "Hamiltonian")
+    scale = max(1.0, float(np.max(np.sum(np.abs(h), axis=1))))
+    pair = _lanczos_ground_state(h, LANCZOS_TOL * scale)
+    if pair is not None and _is_isolated_ground_state(h, pair, DEGENERACY_GAP * scale):
+        return pair
+    return diagonalize(params)[0]
+
+
+def _lanczos_ground_state(h: np.ndarray, tol: float):
+    """Lowest Ritz pair of hermitian h, or None if its residual stays above tol.
+
+    Lanczos with full reorthogonalization (classical Gram-Schmidt, twice)
+    from a fixed-seed complex start vector.  Every LANCZOS_CHECK steps the
+    lowest Ritz pair of the tridiagonal is formed; the iteration stops once
+    its residual estimate β|s_last| is at most tol, when the Krylov space
+    is exhausted (β ≤ tol), or after min(dim, LANCZOS_MAX_STEPS) steps.
+    The returned energy is the Rayleigh quotient of the unit Ritz vector x
+    with the true h, and its residual ‖hx − ex‖ must itself be at most tol.
+    """
+    n = h.shape[0]
+    steps = min(n, LANCZOS_MAX_STEPS)
+    rng = np.random.default_rng(LANCZOS_SEED)
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis = np.empty((steps, n), dtype=complex)
+    basis[0] = q / np.linalg.norm(q)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for j in range(steps):
+        w = h @ basis[j]
+        alpha[j] = np.vdot(basis[j], w).real
+        for _ in range(2):
+            w -= (basis[:j + 1] @ w.conj()).conj() @ basis[:j + 1]
+        beta[j] = np.linalg.norm(w)
+        last = beta[j] <= tol or j + 1 == steps
+        if last or (j + 1) % LANCZOS_CHECK == 0:
+            k = j + 1
+            t = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
+            _, ritz = np.linalg.eigh(t)
+            if last or beta[j] * abs(ritz[-1, 0]) <= tol:
+                break
+        basis[j + 1] = w / beta[j]
+    x = ritz[:, 0] @ basis[:k]
+    x /= np.linalg.norm(x)
+    hx = h @ x
+    energy = np.vdot(x, hx).real
+    if np.linalg.norm(hx - energy * x) > tol:
+        return None
+    return EigenPair(float(energy), x)
+
+
+def _is_isolated_ground_state(h: np.ndarray, pair: EigenPair, gap: float) -> bool:
+    """True if every eigenvalue of h but one lies above pair.energy + gap.
+
+    One Cholesky factorization of M = h + xxᴴ − (e + gap)I, with x the unit
+    state and e its Rayleigh quotient, succeeds only if M is positive
+    definite (Sylvester's law of inertia).  Then yᴴhy > e + gap for every
+    unit y ⟂ x, so the second eigenvalue lies above e + gap while the lowest
+    is at most e: x is the ground state, its level is isolated by more than
+    gap, and x is within ‖hx − ex‖/gap of the ground eigenvector
+    (notes/decisions.md).  An excited or degenerate state fails.  M is
+    formed in h's own buffer, which keeps one dense matrix fewer alive
+    during the factorization: h is overwritten.
+    """
+    x = pair.state
+    m = h
+    m += np.outer(x, x.conj())
+    m[np.diag_indices_from(m)] -= pair.energy + gap
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _resolve_degenerate_blocks(pairs, params):
     i = 0
     scale = max(1.0, abs(pairs[-1].energy), abs(pairs[0].energy))
@@ -158,12 +253,16 @@ def _certified_eigh(m: np.ndarray, name: str):
     BLOCKED_EIGH_MIN_DIM this is np.linalg.eigh; from there on it is
     _blocked_eigh, with the same eigenvalues.
     """
-    defect = max_norm(m - m.conj().T)
-    if defect > HERM_TOL * max(1.0, max_norm(m)):
-        raise ConsistencyError(f"{name} hermiticity defect {defect:.3e}")
+    _check_hermitian(m, name)
     if m.shape[0] < BLOCKED_EIGH_MIN_DIM:
         return np.linalg.eigh(m)
     return _blocked_eigh(m)
+
+
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    defect = max_norm(m - m.conj().T)
+    if defect > HERM_TOL * max(1.0, max_norm(m)):
+        raise ConsistencyError(f"{name} hermiticity defect {defect:.3e}")
 
 
 def _blocked_eigh(m: np.ndarray):

@@ -222,14 +222,26 @@ def _laplace(decay, omega):
     The bound is ROUND_ULPS · eps · (|ψ((s+1)/2)| + |ψ(s/2)| + 1/|s|):
     scipy's complex digamma loses up to 16 such units near the real axis
     (worst of 20 000 draws of d in [1e-3, 4] and ω in [0, 8] against
-    40-digit mpmath).
+    40-digit mpmath).  Entries with ω = 0 take scipy's real digamma, which
+    loses at most 1.8 units there, where the complex one lost up to 15.3
+    (4000 draws of d in [1e-3, 4]).
     """
     # imported here: scipy.special loads in ~0.2 s, which the commands that
     # evaluate no thermodynamic quantity (verify, ed, bae, classify) skip
     from scipy.special import digamma
 
-    s = np.asarray(decay, dtype=float) + 1j * np.asarray(omega, dtype=float)
-    upper, lower = digamma(0.5 * (s + 1.0)), digamma(0.5 * s)
+    decay, omega = np.asarray(decay, dtype=float), np.asarray(omega, dtype=float)
+    s = decay + 1j * omega
+    complex_entries = np.count_nonzero(omega)
+    if not complex_entries:
+        x = s.real
+        upper, lower = digamma(0.5 * (x + 1.0)), digamma(0.5 * x)
+    else:
+        upper, lower = digamma(0.5 * (s + 1.0)), digamma(0.5 * s)
+        if complex_entries < omega.size:
+            real = s.imag == 0.0
+            x = s.real[real]
+            upper[real], lower[real] = digamma(0.5 * (x + 1.0)), digamma(0.5 * x)
     return ((upper - lower - 1.0 / s).real,
             ROUND_ULPS * EPS * (np.abs(upper) + np.abs(lower) + 1.0 / np.abs(s)))
 

@@ -37,3 +37,27 @@ REGIME_POINTS = {
 @pytest.fixture(scope="session")
 def regime_points():
     return dict(REGIME_POINTS)
+
+
+# (p, q̄) rectangles of the six regime boxes; the open sides of III-VI are
+# closed at ±2
+REGIME_BOXES = {"I": ((0.0, 0.5), (0.0, 0.5)), "II": ((0.0, 0.5), (-0.5, 0.0)),
+                "III": ((0.5, 2.0), (0.0, 0.5)), "IV": ((0.5, 2.0), (-0.5, 0.0)),
+                "V": ((0.5, 2.0), (0.5, 2.0)), "VI": ((0.5, 2.0), (-2.0, -0.5))}
+
+
+def box_points(per_box: int, close: float = 2.0, seed: int = 2026) -> list:
+    """Seeded (regime, ā, p, q̄, ξ) draws, per_box in each regime box.
+
+    p and q̄ lie at least 0.05 inside the box, whose open sides are closed
+    at ±close; ā ∈ [0.2, 1.2] and ξ ∈ [0.2, 2].
+    """
+    rng = np.random.default_rng(seed)
+    points = []
+    for regime, ((p0, p1), (q0, q1)) in REGIME_BOXES.items():
+        p1, q0, q1 = min(p1, close), max(q0, -close), min(q1, close)
+        for _ in range(per_box):
+            p, q_bar = rng.uniform(p0 + 0.05, p1 - 0.05), rng.uniform(q0 + 0.05, q1 - 0.05)
+            a_bar = rng.uniform(0.2, 1.2)
+            points.append((regime, a_bar, p, q_bar, rng.uniform(0.2, 2.0)))
+    return points

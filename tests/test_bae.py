@@ -16,6 +16,7 @@ from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.spectrum import ZeroRootSet
 from competing_chain.transfer import a_table
 from competing_chain.errors import DomainError, ParameterError, SolverError
+from conftest import box_points
 
 
 def test_regime_boxes():
@@ -323,44 +324,33 @@ def test_ground_state_scan_stops_at_first_failed_warm_size(monkeypatch):
 def test_ground_state_scan_reports_only_the_requested_sizes(monkeypatch):
     # a scan that asks only for 2N=10 still walks up from the 2N=8 ED seed
     base = ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2)
-    diagonalized = []
-    diagonalize_ = bae.diagonalize
+    seeded = []
+    ground_state = bae.ground_state
 
     def spy(params):
-        diagonalized.append(params.two_n)
-        return diagonalize_(params)
+        seeded.append(params.two_n)
+        return ground_state(params)
 
-    monkeypatch.setattr(bae, "diagonalize", spy)
+    monkeypatch.setattr(bae, "ground_state", spy)
     res = ground_state_scan(base, [10])
-    assert diagonalized == [8]
+    assert seeded == [8]
     assert [two_n for two_n, _, _ in res] == [10]
     assert res[0][1] == pytest.approx(-28.027604097360523, abs=1e-8)
-
-
-# (p, q̄) rectangles of the six regime boxes; the open sides of III-VI are
-# closed at 2
-REGIME_BOXES = {"I": ((0.0, 0.5), (0.0, 0.5)), "II": ((0.0, 0.5), (-0.5, 0.0)),
-                "III": ((0.5, 2.0), (0.0, 0.5)), "IV": ((0.5, 2.0), (-0.5, 0.0)),
-                "V": ((0.5, 2.0), (0.5, 2.0)), "VI": ((0.5, 2.0), (-2.0, -0.5))}
 
 
 def test_ground_state_scan_starts_on_the_ed_ground_state_across_the_boxes():
     # 2 seeded points per box, p and q̄ at least 0.05 inside it; the regime
     # seeded retry ladder missed 3 of these 12 (one in I, two in II)
-    rng = np.random.default_rng(2026)
     missed = []
-    for regime, ((p0, p1), (q0, q1)) in REGIME_BOXES.items():
-        for _ in range(2):
-            p, q_bar = rng.uniform(p0 + 0.05, p1 - 0.05), rng.uniform(q0 + 0.05, q1 - 0.05)
-            pr = ModelParams.from_q_bar(8, rng.uniform(0.2, 1.2), p, q_bar,
-                                        rng.uniform(0.2, 2.0))
-            try:
-                energy = ground_state_scan(pr, [8])[0][1]
-            except SolverError as exc:
-                missed.append((regime, pr, str(exc)))
-                continue
-            if abs(energy - diagonalize(pr)[0].energy) > 1e-8:
-                missed.append((regime, pr, energy))
+    for regime, a_bar, p, q_bar, xi in box_points(2):
+        pr = ModelParams.from_q_bar(8, a_bar, p, q_bar, xi)
+        try:
+            energy = ground_state_scan(pr, [8])[0][1]
+        except SolverError as exc:
+            missed.append((regime, pr, str(exc)))
+            continue
+        if abs(energy - diagonalize(pr)[0].energy) > 1e-8:
+            missed.append((regime, pr, energy))
     assert not missed
 
 
@@ -423,19 +413,21 @@ def test_scan_refuses_a_solution_that_is_not_a_ground_state_inventory(monkeypatc
 
 
 def test_ground_state_scan_leaves_scipy_linalg_unloaded():
-    # the 2N=8 ED seed stays below spectrum.BLOCKED_EIGH_MIN_DIM, so a scan
-    # never pays the scipy.linalg import of the blocked eigensolve
+    # the 2N=8 ED seed is a numpy Lanczos ground state (or, uncertified, a
+    # dense eigh below spectrum.BLOCKED_EIGH_MIN_DIM), so a scan pays neither
+    # the scipy.linalg import of the blocked eigensolve nor scipy.sparse's
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(src)!r})\n"
         "from competing_chain import ModelParams, ground_state_scan\n"
+        "ground_state_scan(ModelParams(two_n=8), [8])\n"
         "ground_state_scan(ModelParams.from_q_bar(8, 0.6, 1.0, 0.8, 1.2), [8, 10])\n"
-        "print('scipy.linalg' in sys.modules)\n")
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def _closed_form_rows(u, r, c, t, w):
@@ -560,14 +552,14 @@ def test_non_finite_jacobian_rejects_an_accepted_trial(monkeypatch, params_fig4)
 
 
 def test_direct_scan_failure_names_the_direct_solve():
-    # regime V continues to 2N=60; the direct solve at 2N=62 stalls
+    # regime V continues to 2N=56; the direct solve at 2N=58 stalls
     base = ModelParams.from_q_bar(8, 0.66, 1.2, 0.7, 1.2)
-    with pytest.raises(SolverError, match="2N=62: direct solve failed: line search stalled") as info:
-        ground_state_scan(base, [8, 62])
+    with pytest.raises(SolverError, match="2N=58: direct solve failed: line search stalled") as info:
+        ground_state_scan(base, [8, 58])
     cause = info.value.__cause__
     assert isinstance(cause, SolverError)
     assert str(cause).startswith("direct solve failed: ")
-    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 62
+    assert info.value.best_roots is cause.best_roots and cause.best_roots.two_n == 58
     assert info.value.history == cause.history and len(cause.history) > 1
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from competing_chain import ModelParams, couplings, hamiltonian_direct, max_norm
+from competing_chain import ModelParams, couplings, hamiltonian, hamiltonian_direct, max_norm
 from competing_chain.algebra import PAULI, SIGMA_X, SIGMA_Y, SIGMA_Z, ID2
 
 
@@ -120,3 +120,35 @@ def test_local_term_build_matches_kron_reference(two_n, regime_points):
     for p, q_bar in regime_points.values():
         pr = ModelParams.from_q_bar(two_n, 0.66, p, q_bar, 1.2)
         assert max_norm(hamiltonian_direct(pr) - _reference_hamiltonian(pr)) <= 1e-13
+
+
+_FACTORS = {"I": ID2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
+def _kron_loop_hamiltonian(pr):
+    """The local-term assembly with one nested np.kron per term, as built before the word table."""
+    two_n = pr.two_n
+    tilted = pr.xi * SIGMA_X + SIGMA_Z
+    blocks = np.zeros((two_n - 2, 8, 8), dtype=complex)
+    for site, coeff, letters in hamiltonian._local_terms(pr):
+        first = min(site, two_n - 2)
+        ops = [ID2] * (site - first) + [tilted if c == "T" else _FACTORS[c] for c in letters]
+        ops += [ID2] * (3 - len(ops))
+        blocks[first - 1] += coeff * np.kron(np.kron(ops[0], ops[1]), ops[2])
+    h = np.zeros((2 ** two_n, 2 ** two_n), dtype=complex)
+    for w, block in enumerate(blocks):
+        left, right = 2 ** w, 2 ** (two_n - w - 3)
+        window = np.einsum("iakibk->ikab", h.reshape(left, 8, right, left, 8, right))
+        window += block
+    return h
+
+
+@pytest.mark.parametrize("point", ["I", "II", "III", "IV", "V", "VI", "defaults"])
+@pytest.mark.parametrize("two_n", [4, 6, 8, 10])
+def test_word_table_build_is_bit_identical_to_the_kron_loop(two_n, point, regime_points):
+    if point == "defaults":
+        pr = ModelParams(two_n=two_n)
+    else:
+        pr = ModelParams.from_q_bar(two_n, 0.66, *regime_points[point], 1.2)
+    want = _kron_loop_hamiltonian(pr)
+    assert np.array_equal(hamiltonian_direct(pr).view(float), want.view(float))

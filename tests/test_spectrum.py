@@ -9,7 +9,7 @@ import numpy.polynomial.polynomial as nppoly
 import pytest
 
 from competing_chain import (ModelParams, ZeroRootSet, apply_transfer, diagonalize,
-                             lambda_samples, circle_sample_points,
+                             ground_state, lambda_samples, circle_sample_points,
                              fit_lambda_polynomial, state_zero_roots,
                              transfer_state_roots, lambda_from_roots,
                              inversion_identity_check, hamiltonian_direct,
@@ -21,7 +21,7 @@ from competing_chain.bae import REGIMES, default_spread_profile
 from competing_chain.errors import (ConsistencyError, DegeneracyError, ExtractionError,
                                     FitError)
 from competing_chain.transfer import transfer_matrix
-from conftest import REGIME_POINTS
+from conftest import REGIME_POINTS, box_points
 
 
 def test_trace_identity(params_small):
@@ -30,6 +30,63 @@ def test_trace_identity(params_small):
     tr = float(np.trace(h).real)
     total = sum(p.energy for p in pairs)
     assert abs(total - tr) <= 1e-8 * max(1.0, abs(tr))
+
+
+def _ground_state_points(two_n):
+    """The six regime points (ā=0.66, ξ=1.2), the defaults and the 12 box points."""
+    points = [ModelParams.from_q_bar(two_n, 0.66, p, q_bar, 1.2)
+              for p, q_bar in REGIME_POINTS.values()]
+    points.append(ModelParams(two_n=two_n))
+    return points + [ModelParams.from_q_bar(two_n, *draw[1:]) for draw in box_points(2)]
+
+
+@pytest.mark.parametrize("two_n", [4, 6, 8])
+def test_ground_state_matches_the_full_spectrum(two_n, monkeypatch):
+    # every point is certified on the Lanczos path (no diagonalize fallback);
+    # at 2N=4 Lanczos exhausts the 16-dimensional space
+    fallbacks = []
+    monkeypatch.setattr(spectrum, "diagonalize", lambda pr: fallbacks.append(pr))
+    for pr in _ground_state_points(two_n):
+        got = ground_state(pr)
+        want = diagonalize(pr)[0]
+        assert abs(got.energy - want.energy) <= 1e-12 * max(1.0, abs(want.energy))
+        assert abs(np.vdot(want.state, got.state)) >= 1.0 - 1e-12
+        z_got = np.array(state_zero_roots(got, pr).z)
+        assert np.max(np.abs(z_got - np.array(state_zero_roots(want, pr).z))) <= 1e-12
+    assert not fallbacks
+
+
+def test_isolation_certificate_rejects_excited_states(params_fig4):
+    h = hamiltonian_direct(params_fig4)
+    pairs = diagonalize(params_fig4)
+    gap = spectrum.DEGENERACY_GAP * np.max(np.sum(np.abs(h), axis=1))
+    assert spectrum._is_isolated_ground_state(h.copy(), pairs[0], gap)
+    for pair in pairs[1:4] + pairs[-1:]:
+        assert not spectrum._is_isolated_ground_state(h.copy(), pair, gap)
+
+
+@pytest.mark.parametrize("case", ["degenerate", "unconverged"])
+def test_uncertified_ground_state_takes_the_full_spectrum(case, monkeypatch, params_small):
+    # a doubly degenerate lowest level fails the certificate; a Lanczos run
+    # cut below convergence returns nothing; both fall back to diagonalize
+    if case == "degenerate":
+        rng = np.random.default_rng(7)
+        u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+        levels = np.concatenate([[-2.0, -2.0], np.linspace(-1.0, 3.0, 14)])
+        h = (u * levels) @ u.conj().T
+        monkeypatch.setattr(spectrum, "hamiltonian_direct", lambda pr: 0.5 * (h + h.conj().T))
+    else:
+        monkeypatch.setattr(spectrum, "LANCZOS_MAX_STEPS", 3)
+    verdicts = []
+    certify = spectrum._is_isolated_ground_state
+    monkeypatch.setattr(spectrum, "_is_isolated_ground_state",
+                        lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+    fallback = [spectrum.EigenPair(0.0, np.zeros(16))]
+    calls = []
+    monkeypatch.setattr(spectrum, "diagonalize", lambda pr: calls.append(pr) or fallback)
+    assert ground_state(params_small) is fallback[0]
+    assert calls == [params_small]
+    assert verdicts == ([False] if case == "degenerate" else [])
 
 
 @pytest.fixture(scope="module")
