@@ -3,8 +3,9 @@
 diagonalize returns the full dense spectrum, degenerate levels resolved
 into transfer eigenstates.  ground_state returns the lowest pair alone: a
 numpy Lanczos run with full reorthogonalization, certified as the isolated
-ground state by one Cholesky factorization of H + xxᴴ − (e + gap)I, and
-diagonalize's lowest pair where that certificate fails.
+ground state by one Cholesky factorization of H + xxᴴ − (e + η)I, with a
+gap η that grows with the Lanczos residual, and diagonalize's lowest pair
+where that certificate fails.
 
 For every eigenstate the transfer eigenvalue Λ(u) is invariant under
 u -> -u-1 and parameterized by 2N+1 sign-paired zero roots z_l via
@@ -69,6 +70,7 @@ LANCZOS_TOL = 1e-13       # ground-state residual ‖Hx − ex‖, relative to H
 LANCZOS_MAX_STEPS = 150   # Krylov dimension before ground_state falls back to diagonalize
 LANCZOS_CHECK = 5         # Lanczos steps between Ritz residual checks
 LANCZOS_SEED = 2026       # numpy seed of the complex start vector
+GROUND_STATE_ANGLE = 1e-8  # largest sin θ between a certified ground_state and its eigenvector
 
 
 @dataclass
@@ -149,25 +151,42 @@ def diagonalize(params: ModelParams) -> list:
 def ground_state(params: ModelParams) -> EigenPair:
     """Lowest eigenpair of the chain Hamiltonian, without the full spectrum.
 
-    Lanczos (_lanczos_ground_state) finds the pair on the dense H, and
-    _is_isolated_ground_state certifies that it is the ground state and
-    that the level is non-degenerate under diagonalize's DEGENERACY_GAP
-    rule, whose scale the largest absolute row sum of H bounds from above.
-    Where either fails (a (near-)degenerate ground level, or no
-    convergence) this is diagonalize(params)[0], degenerate-block
-    resolution included.
+    Lanczos (_lanczos_ground_state) finds a pair (e, x) on the dense H with
+    residual r = ‖Hx − ex‖.  One Cholesky factorization of
+    M = H + xxᴴ − (e + η)I, with η = max(DEGENERACY_GAP·s, r/GROUND_STATE_ANGLE),
+    certifies it: M is positive definite only if every eigenvalue of H but
+    one lies above e + η (Sylvester's law of inertia), while the lowest is
+    at most e.  So x is the ground state, its level is non-degenerate under
+    diagonalize's DEGENERACY_GAP rule (s, the largest absolute row sum of H,
+    bounds that rule's scale from above), and x is within sin θ ≤ r/η ≤
+    GROUND_STATE_ANGLE of the ground eigenvector (Davis–Kahan;
+    notes/decisions.md).  An excited or (near-)degenerate state fails.
+    Where the certificate fails, or Lanczos does not converge, this is
+    diagonalize(params)[0], degenerate-block resolution included.
     """
     h = hamiltonian_direct(params)
     _check_hermitian(h, "Hamiltonian")
     scale = max(1.0, float(np.max(np.sum(np.abs(h), axis=1))))
-    pair = _lanczos_ground_state(h, LANCZOS_TOL * scale)
-    if pair is not None and _is_isolated_ground_state(h, pair, DEGENERACY_GAP * scale):
-        return pair
+    found = _lanczos_ground_state(h, LANCZOS_TOL * scale)
+    if found is not None:
+        pair, residual = found
+        gap = max(DEGENERACY_GAP * scale, residual / GROUND_STATE_ANGLE)
+        # M is formed in h's own buffer, which keeps one dense matrix fewer
+        # alive during the factorization; h is not used again
+        m = h
+        m += np.outer(pair.state, pair.state.conj())
+        m[np.diag_indices_from(m)] -= pair.energy + gap
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return pair
     return diagonalize(params)[0]
 
 
 def _lanczos_ground_state(h: np.ndarray, tol: float):
-    """Lowest Ritz pair of hermitian h, or None if its residual stays above tol.
+    """(lowest Ritz pair, its residual) of hermitian h, or None above tol.
 
     Lanczos with full reorthogonalization (classical Gram-Schmidt, twice)
     from a fixed-seed complex start vector.  Every LANCZOS_CHECK steps the
@@ -202,33 +221,10 @@ def _lanczos_ground_state(h: np.ndarray, tol: float):
     x /= np.linalg.norm(x)
     hx = h @ x
     energy = np.vdot(x, hx).real
-    if np.linalg.norm(hx - energy * x) > tol:
+    residual = float(np.linalg.norm(hx - energy * x))
+    if residual > tol:
         return None
-    return EigenPair(float(energy), x)
-
-
-def _is_isolated_ground_state(h: np.ndarray, pair: EigenPair, gap: float) -> bool:
-    """True if every eigenvalue of h but one lies above pair.energy + gap.
-
-    One Cholesky factorization of M = h + xxᴴ − (e + gap)I, with x the unit
-    state and e its Rayleigh quotient, succeeds only if M is positive
-    definite (Sylvester's law of inertia).  Then yᴴhy > e + gap for every
-    unit y ⟂ x, so the second eigenvalue lies above e + gap while the lowest
-    is at most e: x is the ground state, its level is isolated by more than
-    gap, and x is within ‖hx − ex‖/gap of the ground eigenvector
-    (notes/decisions.md).  An excited or degenerate state fails.  M is
-    formed in h's own buffer, which keeps one dense matrix fewer alive
-    during the factorization: h is overwritten.
-    """
-    x = pair.state
-    m = h
-    m += np.outer(x, x.conj())
-    m[np.diag_indices_from(m)] -= pair.energy + gap
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return EigenPair(float(energy), x), residual
 
 
 def _resolve_degenerate_blocks(pairs, params):

@@ -46,13 +46,13 @@ REGIME_BOXES = {"I": ((0.0, 0.5), (0.0, 0.5)), "II": ((0.0, 0.5), (-0.5, 0.0)),
                 "V": ((0.5, 2.0), (0.5, 2.0)), "VI": ((0.5, 2.0), (-2.0, -0.5))}
 
 
-def box_points(per_box: int, close: float = 2.0, seed: int = 2026) -> list:
-    """Seeded (regime, ā, p, q̄, ξ) draws, per_box in each regime box.
+def box_points(per_box: int, close: float = 2.0) -> list:
+    """(regime, ā, p, q̄, ξ) draws of numpy seed 2026, per_box in each regime box.
 
     p and q̄ lie at least 0.05 inside the box, whose open sides are closed
     at ±close; ā ∈ [0.2, 1.2] and ξ ∈ [0.2, 2].
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(2026)
     points = []
     for regime, ((p0, p1), (q0, q1)) in REGIME_BOXES.items():
         p1, q0, q1 = min(p1, close), max(q0, -close), min(q1, close)

@@ -56,13 +56,29 @@ def test_ground_state_matches_the_full_spectrum(two_n, monkeypatch):
     assert not fallbacks
 
 
-def test_isolation_certificate_rejects_excited_states(params_fig4):
-    h = hamiltonian_direct(params_fig4)
+def _certify(monkeypatch, params, pair):
+    """ground_state(params) with Lanczos replaced by pair: the pair, or None on fallback."""
+    h = hamiltonian_direct(params)
+    residual = float(np.linalg.norm(h @ pair.state - pair.energy * pair.state))
+    monkeypatch.setattr(spectrum, "_lanczos_ground_state", lambda h, tol: (pair, residual))
+    monkeypatch.setattr(spectrum, "diagonalize", lambda pr: [None])
+    return ground_state(params)
+
+
+def test_isolation_certificate_rejects_excited_states(params_fig4, monkeypatch):
     pairs = diagonalize(params_fig4)
-    gap = spectrum.DEGENERACY_GAP * np.max(np.sum(np.abs(h), axis=1))
-    assert spectrum._is_isolated_ground_state(h.copy(), pairs[0], gap)
+    assert _certify(monkeypatch, params_fig4, pairs[0]) is pairs[0]
     for pair in pairs[1:4] + pairs[-1:]:
-        assert not spectrum._is_isolated_ground_state(h.copy(), pair, gap)
+        assert _certify(monkeypatch, params_fig4, pair) is None
+
+
+def _synthetic_hamiltonian(monkeypatch, levels):
+    """Patch a random 16×16 hermitian H with these levels in; returns its eigenvectors."""
+    rng = np.random.default_rng(7)
+    u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    h = (u * levels) @ u.conj().T
+    monkeypatch.setattr(spectrum, "hamiltonian_direct", lambda pr: 0.5 * (h + h.conj().T))
+    return u
 
 
 @pytest.mark.parametrize("case", ["degenerate", "unconverged"])
@@ -70,23 +86,47 @@ def test_uncertified_ground_state_takes_the_full_spectrum(case, monkeypatch, par
     # a doubly degenerate lowest level fails the certificate; a Lanczos run
     # cut below convergence returns nothing; both fall back to diagonalize
     if case == "degenerate":
-        rng = np.random.default_rng(7)
-        u, _ = np.linalg.qr(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-        levels = np.concatenate([[-2.0, -2.0], np.linspace(-1.0, 3.0, 14)])
-        h = (u * levels) @ u.conj().T
-        monkeypatch.setattr(spectrum, "hamiltonian_direct", lambda pr: 0.5 * (h + h.conj().T))
+        _synthetic_hamiltonian(monkeypatch, np.r_[-2.0, -2.0, np.linspace(-1.0, 3.0, 14)])
     else:
         monkeypatch.setattr(spectrum, "LANCZOS_MAX_STEPS", 3)
-    verdicts = []
-    certify = spectrum._is_isolated_ground_state
-    monkeypatch.setattr(spectrum, "_is_isolated_ground_state",
-                        lambda *args: verdicts.append(certify(*args)) or verdicts[-1])
+    found = []
+    lanczos = spectrum._lanczos_ground_state
+    monkeypatch.setattr(spectrum, "_lanczos_ground_state",
+                        lambda *args: found.append(lanczos(*args)) or found[-1])
     fallback = [spectrum.EigenPair(0.0, np.zeros(16))]
     calls = []
     monkeypatch.setattr(spectrum, "diagonalize", lambda pr: calls.append(pr) or fallback)
     assert ground_state(params_small) is fallback[0]
     assert calls == [params_small]
-    assert verdicts == ([False] if case == "degenerate" else [])
+    assert (found[0] is not None) == (case == "degenerate")
+
+
+def test_near_degenerate_ground_state_is_certified_only_to_its_residual(monkeypatch,
+                                                                        params_small):
+    # a state that mixes the two lowest levels, 8e-9 apart, by θ = 5e-5 has
+    # a residual r ≈ θ·8e-9 within LANCZOS_TOL·s.  A gap of DEGENERACY_GAP·s
+    # alone would certify it; the gap r/GROUND_STATE_ANGLE refuses it
+    u = _synthetic_hamiltonian(monkeypatch, np.r_[-2.0, -2.0 + 8e-9,
+                                                  np.linspace(-1.0, 3.0, 14)])
+    h = spectrum.hamiltonian_direct(params_small)
+    scale = max(1.0, np.max(np.sum(np.abs(h), axis=1)))
+    assert spectrum.DEGENERACY_GAP * scale < 8e-9
+    x = np.cos(5e-5) * u[:, 0] + np.sin(5e-5) * u[:, 1]
+    pair = spectrum.EigenPair(float(np.vdot(x, h @ x).real), x)
+    assert np.linalg.norm(h @ x - pair.energy * x) <= spectrum.LANCZOS_TOL * scale
+    assert _certify(monkeypatch, params_small, pair) is None
+    monkeypatch.setattr(spectrum, "GROUND_STATE_ANGLE", np.inf)
+    assert _certify(monkeypatch, params_small, pair) is pair
+
+
+def test_ground_state_next_to_a_close_level_matches_the_full_spectrum(monkeypatch,
+                                                                      params_small):
+    # a ground level about 1e-7·s below the next is either certified to
+    # GROUND_STATE_ANGLE or left to diagonalize
+    _synthetic_hamiltonian(monkeypatch, np.r_[-2.0, -2.0 + 6e-7, np.linspace(-1.0, 3.0, 14)])
+    got, want = ground_state(params_small), diagonalize(params_small)[0]
+    assert abs(got.energy - want.energy) <= 1e-12 * abs(want.energy)
+    assert abs(np.vdot(want.state, got.state)) >= 1.0 - 1e-12
 
 
 @pytest.fixture(scope="module")
