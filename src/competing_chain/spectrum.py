@@ -1,7 +1,12 @@
 """Exact diagonalization and per-eigenstate transfer-eigenvalue reconstruction.
 
 diagonalize returns the full dense spectrum, degenerate levels resolved
-into transfer eigenstates.  ground_state returns the lowest pair alone: a
+into transfer eigenstates.  From dimension BLOCKED_EIGH_MIN_DIM (2N >= 10)
+on, each hermitian matrix is reduced to a real tridiagonal once and an
+eigenvector is back-transformed only when it is read (_Reduction), in one
+of two fixed blocks: the LEADING_BLOCK lowest states or all the others.
+Below that dimension the eigensolve is np.linalg.eigh.  ground_state
+returns the lowest pair alone: a
 numpy Lanczos run with full reorthogonalization, certified as the isolated
 ground state by one Cholesky factorization of H + xxᴴ − (e + η)I, with a
 gap η that grows with the Lanczos residual, and diagonalize's lowest pair
@@ -53,11 +58,14 @@ from .transfer import a_bare, apply_transfer, d_bare, transfer_matrix
 DEGENERACY_RESOLVE_POINT = 0.37
 ROOT_ZERO_TOL = 1e-12
 HERM_TOL = 1e-12          # hermiticity defect of H and t(u*), relative to max(1, |m|)
-# From this dimension (2N >= 10) hermitian eigensolves take the blocked
-# back-transform: on a 2-core x86-64 host it saves ~0.45 s per call at 1024,
-# while the scipy.linalg import it needs costs ~0.33 s in a fresh process,
-# more than the ~20 ms it would save at 256 (2N=8).
+HERM_CHECK_ROWS = 128     # rows per block of the hermiticity check
+# From this dimension (2N >= 10) hermitian eigensolves reduce once and
+# back-transform on read: on a 2-core x86-64 host a 2N=10 diagonalize that
+# reads 8 states takes ~0.30 s, against ~0.77 s for eigh alone, while the
+# scipy.linalg import it needs costs ~0.33 s in a fresh process, more than
+# the ~20 ms it would save at 256 (2N=8).
 BLOCKED_EIGH_MIN_DIM = 1024
+LEADING_BLOCK = 32        # states back-transformed together on the first read of any of them
 DEGENERACY_GAP = 1e-9     # level spacing, relative to the spectral scale
 VAR_TOL = 1e-8            # squared eigen-residual of t(u) v, relative to |Λ|^2
 LEADING_TOL = 1e-6        # relative deviation of the leading coefficient from 2
@@ -77,6 +85,25 @@ GROUND_STATE_ANGLE = 1e-8  # largest sin θ between a certified ground_state and
 class EigenPair:
     energy: float
     state: np.ndarray
+
+
+class _LazyPair(EigenPair):
+    """An EigenPair whose state is ``vectors[index]``, read on first access."""
+
+    def __init__(self, energy: float, vectors, index: int):
+        self.energy = energy
+        self._vectors, self._index = vectors, index
+
+    @property
+    def state(self) -> np.ndarray:
+        if self._vectors is not None:
+            self._state = self._vectors[self._index]
+            self._vectors = None
+        return self._state
+
+    @state.setter
+    def state(self, value: np.ndarray) -> None:
+        self._state, self._vectors = value, None
 
 
 @dataclass(frozen=True)
@@ -139,11 +166,12 @@ def diagonalize(params: ModelParams) -> list:
 
     Degenerate levels are resolved into transfer eigenstates by
     diagonalizing t(u*) at the fixed generic point u* = 0.37 inside each
-    degenerate block, so Rayleigh quotients of t(u) are well defined.
+    degenerate block, so Rayleigh quotients of t(u) are well defined.  A
+    pair's state is formed when it is first read (see _certified_eigh);
+    the states of degenerate blocks are read here.
     """
     energies, vectors = _certified_eigh(hamiltonian_direct(params), "Hamiltonian")
-    states = np.ascontiguousarray(vectors.T)
-    pairs = [EigenPair(float(e), state) for e, state in zip(energies, states)]
+    pairs = [_LazyPair(float(e), vectors, k) for k, e in enumerate(energies)]
     _resolve_degenerate_blocks(pairs, params)
     return pairs
 
@@ -242,60 +270,122 @@ def _resolve_degenerate_blocks(pairs, params):
 
 
 def _certified_eigh(m: np.ndarray, name: str):
-    """(w, V) of m, which must be hermitian to HERM_TOL relative to max(1, |m|).
+    """(w, vectors) of m, which must be hermitian to HERM_TOL relative to max(1, |m|).
 
-    A larger defect raises ConsistencyError: both routes read the lower
+    ``vectors[k]`` is the unit eigenvector of w[k], a contiguous vector.  A
+    larger defect raises ConsistencyError: both routes read the lower
     triangle only, so a skew part would otherwise pass unnoticed.  Below
-    BLOCKED_EIGH_MIN_DIM this is np.linalg.eigh; from there on it is
-    _blocked_eigh, with the same eigenvalues.
+    BLOCKED_EIGH_MIN_DIM this is np.linalg.eigh, and vectors is its V
+    transposed into C order.  From there on m is reduced once, with LAPACK zheevd's
+    zhetrd (lower) and a divide-and-conquer dstevd on the real tridiagonal,
+    so w is eigh's; vectors is a _Reduction.  m is copied, never overwritten,
+    and a caller that passes its only reference frees it before dstevd.
+    zheevd's rescaling of entries outside 1e±146 is left out.
     """
     _check_hermitian(m, name)
-    if m.shape[0] < BLOCKED_EIGH_MIN_DIM:
-        return np.linalg.eigh(m)
-    return _blocked_eigh(m)
-
-
-def _check_hermitian(m: np.ndarray, name: str) -> None:
-    defect = max_norm(m - m.conj().T)
-    if defect > HERM_TOL * max(1.0, max_norm(m)):
-        raise ConsistencyError(f"{name} hermiticity defect {defect:.3e}")
-
-
-def _blocked_eigh(m: np.ndarray):
-    """LAPACK zheevd's three steps, with a blocked back-transform.
-
-    np.linalg.eigh is zheevd: zhetrd (lower), the divide-and-conquer
-    tridiagonal solve, and zunmtr, which zheevd hands a workspace of n
-    entries, so its zunmqr runs one reflector at a time.  Here the same
-    zhetrd and dstevd run, then one blocked zunmqr applies the reflectors
-    to rows 1..n-1 of the tridiagonal eigenvectors (Q leaves row 0 alone).
-    The eigenvalues are zheevd's; the vectors differ in rounding only
-    (notes/decisions.md).  Each array is dropped as soon as the next one
-    exists, so the peak stays below eigh's; m itself is copied, never
-    overwritten.  zheevd's rescaling of entries outside 1e±146 is left out.
-    Returns (w, V) with V in Fortran order.
-    """
+    n = m.shape[0]
+    if n < BLOCKED_EIGH_MIN_DIM:
+        w, v = np.linalg.eigh(m)
+        return w, np.ascontiguousarray(v.T)
     from scipy.linalg import lapack
 
-    n = m.shape[0]
     lwork = int(lapack.zhetrd_lwork(n, lower=1)[0].real)
     c, d, e, tau, info = lapack.zhetrd(m, lower=1, lwork=lwork)
+    del m
     _check_lapack("zhetrd", info)
     reflectors = np.asfortranarray(c[1:, :-1])
     del c
     w, z, info = lapack.dstevd(d, e)
     _check_lapack("dstevd", info)
-    top = z[0].copy()
-    rows = np.asfortranarray(z[1:], dtype=complex)
-    del z
-    lwork = int(lapack.zunmqr("L", "N", reflectors, tau, rows, -1, overwrite_c=1)[1][0].real)
-    rows, _, info = lapack.zunmqr("L", "N", reflectors, tau, rows, lwork, overwrite_c=1)
-    _check_lapack("zunmqr", info)
-    del reflectors
-    v = np.empty((n, n), dtype=complex, order="F")
-    v[0] = top
-    v[1:] = rows
-    return w, v
+    return w, _Reduction(reflectors, tau, z)
+
+
+def _check_hermitian(m: np.ndarray, name: str) -> None:
+    """ConsistencyError unless max|m − mᴴ| ≤ HERM_TOL·max(1, max|m|).
+
+    Both maxima are taken over row blocks of HERM_CHECK_ROWS, which keeps
+    the temporaries small against m and gives the same values.
+    """
+    defect = scale = 0.0
+    for i in range(0, m.shape[0], HERM_CHECK_ROWS):
+        block = m[i:i + HERM_CHECK_ROWS]
+        defect = max(defect, max_norm(block - m[:, i:i + HERM_CHECK_ROWS].conj().T))
+        scale = max(scale, max_norm(block))
+    if defect > HERM_TOL * max(1.0, scale):
+        raise ConsistencyError(f"{name} hermiticity defect {defect:.3e}")
+
+
+class _Reduction:
+    """Eigenvectors diag(1, Q)·Z of a reduced hermitian matrix, back-transformed on read.
+
+    Q is the product of zhetrd's Householder reflectors (it acts on rows
+    1..n-1 and leaves row 0 alone) and Z holds dstevd's real tridiagonal
+    eigenvectors.  Reading vector k applies Q, with one blocked zunmqr, to
+    every column of its block: the LEADING_BLOCK lowest, or all the others.
+    On the tested OpenBLAS, zunmqr gives each of these two blocks the bits
+    of the all-columns call, so no vector depends on which were read before
+    it.  Not every block does: a block narrower than 4 columns never does,
+    and wider ones only when no column falls into a remainder of the 4-wide
+    tiles the work is split into (notes/decisions.md).  Reflectors and Z
+    are kept until both blocks exist; overlaps must be taken before that.
+    """
+
+    def __init__(self, reflectors: np.ndarray, tau: np.ndarray, z: np.ndarray):
+        self._reflectors, self._tau, self._z = reflectors, tau, z
+        self._n = z.shape[0]
+        self._blocks = {}   # first column -> (columns, n) array of that block's vectors
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        start, stop = (0, LEADING_BLOCK) if k < LEADING_BLOCK else (LEADING_BLOCK, self._n)
+        if start not in self._blocks:
+            self._blocks[start] = self._back_transform(start, stop)
+            if len(self._blocks) == 2:   # every vector exists: Q and Z are not needed again
+                self._reflectors = self._tau = self._z = None
+        return self._blocks[start][k - start]
+
+    def _back_transform(self, start: int, stop: int) -> np.ndarray:
+        """Vectors start..stop-1 as the rows of one C-ordered array, built in its own buffer.
+
+        zunmqr transforms rows 1..n-1 of the block as an F-ordered array at
+        the head of the buffer; each column is then moved up by its index
+        plus one, last column first (none lands on one not yet moved), and
+        row 0 fills the gaps.  So the block takes one array, not two.
+        """
+        n, cols = self._n, stop - start
+        flat = np.empty(n * cols, dtype=complex)
+        rows = flat[:(n - 1) * cols].reshape((n - 1, cols), order="F")
+        rows[...] = self._z[1:, start:stop]
+        done = self._apply_q("N", rows)
+        if done is not rows:
+            rows[...] = done
+        for j in range(cols - 1, -1, -1):
+            flat[j * n + 1:(j + 1) * n] = flat[j * (n - 1):(j + 1) * (n - 1)]
+        flat[::n] = self._z[0, start:stop]
+        return flat.reshape((cols, n))
+
+    def overlaps(self, ref: np.ndarray) -> np.ndarray:
+        """|⟨ref|v_k⟩| for every k: |yᴴZ| with y = diag(1, Q)ᴴ ref, one zunmqr on one column."""
+        y = np.empty(len(ref), dtype=complex)
+        y[0] = ref[0]
+        column = np.array(ref[1:, None], order="F")   # a copy: zunmqr overwrites it
+        y[1:] = self._apply_q("C", column)[:, 0]
+        return np.hypot(y.real @ self._z, y.imag @ self._z)
+
+    def _apply_q(self, trans: str, c: np.ndarray) -> np.ndarray:
+        """Q c (trans "N") or Qᴴ c ("C"); a complex F-ordered c is overwritten and returned."""
+        from scipy.linalg import lapack
+
+        # zunmqr's block size is at most its NBMAX = 64 and its T block takes
+        # 65 × 64 entries, so this workspace runs the blocked path without a
+        # workspace query, with the block size that query would give
+        lwork = c.shape[1] * 64 + 65 * 64
+        c, _, info = lapack.zunmqr("L", trans, self._reflectors, self._tau, c, lwork,
+                                   overwrite_c=1)
+        _check_lapack("zunmqr", info)
+        return c
 
 
 def _check_lapack(routine: str, info: int) -> None:
@@ -316,8 +406,8 @@ def _transfer_eigenvectors(basis: np.ndarray, params: ModelParams) -> list:
     degenerate levels at their recorded digests (notes/decisions.md).
     """
     tv = apply_transfer(np.full(basis.shape[1], DEGENERACY_RESOLVE_POINT), params, basis.T).T
-    _, w = _certified_eigh(basis.conj().T @ tv, "projected t(u*)")
-    return [v / np.linalg.norm(v) for v in (basis @ w).T]
+    _, vectors = _certified_eigh(basis.conj().T @ tv, "projected t(u*)")
+    return [v / np.linalg.norm(v) for v in (basis @ vectors.T).T]
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +536,17 @@ def transfer_state_roots(params: ModelParams, reference_state: np.ndarray) -> Ze
     largest overlap with the reference vector, normalized, goes through
     state_zero_roots, eigen-residual certificate included.  The t(u)
     commute, so that vector is an eigenvector of every t(u) and its Rayleigh
-    quotient is Λ(u).
+    quotient is Λ(u).  From BLOCKED_EIGH_MIN_DIM on the overlaps come from
+    the reduction (_Reduction.overlaps), and only the chosen vector's
+    block is back-transformed.
     """
     ref = np.asarray(reference_state, dtype=complex)
-    _, w = _certified_eigh(transfer_matrix(DEGENERACY_RESOLVE_POINT, params), "t(u*)")
-    v = w[:, np.argmax(np.abs(ref.conj() @ w))]
+    _, vectors = _certified_eigh(transfer_matrix(DEGENERACY_RESOLVE_POINT, params), "t(u*)")
+    if isinstance(vectors, _Reduction):
+        overlaps = vectors.overlaps(ref)
+    else:
+        overlaps = np.abs(vectors.conj() @ ref)
+    v = vectors[np.argmax(overlaps)]
     return state_zero_roots(v / np.linalg.norm(v), params)
 
 

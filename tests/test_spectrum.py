@@ -167,23 +167,87 @@ def hermitian_1024():
 
 def test_blocked_eigensolve_keeps_its_input(hermitian_1024):
     m = np.asfortranarray(hermitian_1024)   # a layout LAPACK could overwrite in place
-    w, v = spectrum._certified_eigh(m, "m")
+    w, vectors = spectrum._certified_eigh(m, "m")
+    v = np.column_stack([vectors[k] for k in range(1024)])
     assert np.array_equal(m, hermitian_1024)
-    assert v.flags.f_contiguous   # so diagonalize's row states are a view
     assert np.max(np.abs(v.conj().T @ v - np.eye(1024))) <= 1e-13
     assert np.max(np.linalg.norm(m @ v - v * w, axis=0)) <= 1e-13 * np.max(np.abs(w))
 
 
+def test_reduction_overlaps_match_the_back_transformed_vectors(hermitian_1024):
+    # transfer_state_roots picks its vector from these before any is built
+    _, vectors = spectrum._certified_eigh(hermitian_1024, "m")
+    ref = np.random.default_rng(5).normal(size=1024) + 0j
+    kept = ref.copy()
+    got = vectors.overlaps(ref)
+    assert np.array_equal(ref, kept)
+    v = np.column_stack([vectors[k] for k in range(1024)])
+    assert np.max(np.abs(got - np.abs(ref.conj() @ v))) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_certified_eigh_refuses_a_skew_part_before_lapack(hermitian_1024, monkeypatch):
+    from scipy.linalg import lapack
+
     skew = np.triu(np.full(hermitian_1024.shape, 1e-6), 1)
     skew = skew - skew.T
 
-    def never(_m):
+    def never(*_args, **_kwargs):
         pytest.fail("the blocked eigensolve ran on a non-hermitian matrix")
 
-    monkeypatch.setattr(spectrum, "_blocked_eigh", never)
+    monkeypatch.setattr(lapack, "zhetrd", never)
     with pytest.raises(ConsistencyError, match="hermiticity"):
         spectrum._certified_eigh(hermitian_1024 + skew, "m")
+
+
+def test_lazy_states_do_not_depend_on_the_read_order(chain_10):
+    params = chain_10[0]
+    forward, backward = diagonalize(params), diagonalize(params)
+    first = [forward[k].state for k in (1023, 40, 3)]
+    second = [backward[k].state for k in (3, 40, 1023)][::-1]
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_reading_the_low_states_back_transforms_one_leading_block(chain_10, monkeypatch):
+    from scipy.linalg import lapack
+
+    columns = []
+    zunmqr = lapack.zunmqr
+
+    def counted(side, trans, a, tau, c, *args, **kwargs):
+        columns.append(c.shape[1])
+        return zunmqr(side, trans, a, tau, c, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zunmqr", counted)
+    pairs = diagonalize(chain_10[0])
+    for pair in pairs[:8]:
+        assert pair.state.shape == (1024,)
+    assert len(columns) == 1 and columns[0] <= 32
+
+
+def test_lazy_states_match_eigh_up_to_phase(chain_10):
+    params = chain_10[0]
+    pairs = diagonalize(params)
+    _, want = np.linalg.eigh(hamiltonian_direct(params))
+    for k in (0, 31, 32, 33, 500, 1023):
+        assert 1.0 - abs(np.vdot(want[:, k], pairs[k].state)) <= 1e-12
+
+
+def test_degenerate_pair_across_the_leading_block_resolves(chain_10, monkeypatch):
+    # H' shares chain_10's eigenvectors, which are t(u*) eigenvectors (the
+    # t(u) commute with H), with levels 31 and 32 made equal: diagonalize
+    # must rotate that pair, which straddles the two back-transform blocks,
+    # back onto them
+    params, pairs = chain_10
+    u = np.column_stack([p.state for p in pairs])
+    levels = np.array([p.energy for p in pairs])
+    levels[32] = levels[31]
+    h = (u * levels) @ u.conj().T
+    monkeypatch.setattr(spectrum, "hamiltonian_direct", lambda pr: 0.5 * (h + h.conj().T))
+    got = diagonalize(params)
+    for k in (31, 32):
+        assert 1.0 - np.max(np.abs(u[:, 31:33].conj().T @ got[k].state)) <= 1e-10
+        lambda_samples(got[k], params, [spectrum.DEGENERACY_RESOLVE_POINT, 1.1])
+    assert abs(np.vdot(got[31].state, got[32].state)) <= 1e-12
 
 
 def test_lambda_fixed_values(params_fig4):

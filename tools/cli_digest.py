@@ -12,11 +12,14 @@ over ā (a scan quantity no README example writes) and ``ed --two-n 10``
 at the same point with ten inhomogeneities ``--out inh10`` (the
 inhomogeneous t(u*) eigenstate at 2N=10), then ``bae --two-n 16`` (size
 continuation past the 2N=8 ED seed) and ``bae --two-n 4 --theta=...`` (the
-θ̄ ramp) at the same point, and ``bae --two-n 8`` at q=0.46861 (q̄=0.3, regime
+θ̄ ramp) at the same point, ``bae --two-n 8`` at q=0.46861 (q̄=0.3, regime
 III, whose solver coordinates carry a boundary pair, the imaginary pair β
-and the real pair α), all inside a temporary directory.  Each command's standard output and standard error
-are saved beside the files it writes.  Prints one ``sha256  file`` line per file, sorted by name, so two
-trees that compute the same numbers print the same list.
+and the real pair α), and ``ed --two-n 10 --states 40 --out ed40`` (states
+past the first LEADING_BLOCK of 32, which the 2N=10 eigensolve
+back-transforms in a second block), all inside a temporary directory.
+Each command's standard output and standard error are saved beside the
+files it writes.  Prints one ``sha256  file`` line per file, sorted by
+name, so two trees that compute the same numbers print the same list.
 
     python3 tools/cli_digest.py
 
@@ -48,7 +51,8 @@ EXTRA_COMMANDS = ["competing-chain ed --two-n 10 --states 8",
                   "competing-chain bae --two-n 4 --a-bar 0.66 --p 1.2 --q 1.09343 --xi 1.2 "
                   "--theta=0.1,-0.1,0.2,-0.2 --out bae_inh4.json",
                   "competing-chain bae --two-n 8 --a-bar 0.66 --p 1.2 --q 0.46861 --xi 1.2 "
-                  "--out bae_iii.json"]
+                  "--out bae_iii.json",
+                  "competing-chain ed --two-n 10 --states 40 --out ed40"]
 
 
 def _readme_commands() -> list:
